@@ -145,16 +145,7 @@ def _cmd_game(args: argparse.Namespace) -> int:
 
 def _cmd_rank(args: argparse.Namespace) -> int:
     profile = load_profile(args.profile)
-    if args.weights:
-        parts = args.weights.split(",")
-        if len(parts) != 4:
-            raise ValidationError(f"--weights expects 4 comma-separated numbers, got {args.weights!r}")
-        try:
-            weights = tuple(float(x) for x in parts)
-        except ValueError:
-            raise ValidationError(f"--weights expects numbers, got {args.weights!r}") from None
-    else:
-        weights = (0.25, 0.25, 0.25, 0.25)
+    weights = _parse_quad(args.weights, "--weights") if args.weights else (0.25, 0.25, 0.25, 0.25)
     ranking = rank_strategies(default_catalog(), profile, weights)
     for position, (strategy, score) in enumerate(ranking, start=1):
         print(f"{position}. {strategy.name} score={score:.4f}")

@@ -1,4 +1,8 @@
-"""Shared exception types."""
+"""Shared exception type and the field checks every layer builds on."""
+
+from __future__ import annotations
+
+from typing import Collection
 
 
 class ValidationError(ValueError):
@@ -8,3 +12,37 @@ class ValidationError(ValueError):
     shapes, and schema violations in loaded documents. The message always
     names the offending field or key.
     """
+
+
+_KIND_NAMES = {int: "an integer", str: "a string", bool: "a boolean", list: "a list", dict: "a JSON object"}
+
+
+def check_number(value: object, what: str, lo: float, hi: float) -> None:
+    """Reject anything but an int or float (never a bool) in ``[lo, hi]``.
+
+    The bounds are finite, so the range test also rejects NaN, infinities
+    and integers beyond float range.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{what} must be a number, got {type(value).__name__}")
+    if not lo <= value <= hi:
+        raise ValidationError(f"{what} must be in [{lo:g}, {hi:g}], got {value!r}")
+
+
+def check_type(value: object, kind: type, what: str) -> None:
+    """Reject ``value`` unless it is a ``kind``; a bool never counts as an int."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        name = _KIND_NAMES.get(kind, f"a {kind.__name__}")
+        raise ValidationError(f"{what} must be {name}, got {type(value).__name__}")
+
+
+def check_keys(data: object, what: str, required: Collection[str], optional: Collection[str] = ()) -> None:
+    """Reject ``data`` unless it is a JSON object with every required key and no others."""
+    check_type(data, dict, what)
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise ValidationError(f"{what} missing keys: {missing}")
+    if len(data) > len(required):  # all required keys are present, so only then can others be
+        unknown = sorted((key for key in data if key not in required and key not in optional), key=str)
+        if unknown:
+            raise ValidationError(f"{what} has unknown keys: {unknown}")

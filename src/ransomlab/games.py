@@ -13,13 +13,15 @@ thread-safe. Games serialize to/from JSON documents of the form
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, check_keys, check_number, check_type
 
 __all__ = [
     "BimatrixGame",
     "Equilibrium",
+    "make_game",
     "ransom_game",
     "pd_game",
     "snowdrift_game",
@@ -36,28 +38,48 @@ __all__ = [
 
 Cell = tuple[float, float]
 
+_FLOAT_MAX = sys.float_info.max
+
 
 @dataclass(frozen=True)
 class BimatrixGame:
-    """A two-player game: ``payoffs[i][j]`` is ``(row_payoff, col_payoff)``."""
+    """A two-player game: ``payoffs[i][j]`` is ``(row_payoff, col_payoff)``.
+
+    Payoffs may be given as finite ints or floats in nested lists or tuples;
+    the game stores them as tuples of float pairs.
+    """
 
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
     payoffs: tuple[tuple[Cell, ...], ...]
 
     def __post_init__(self) -> None:
+        for k, label in enumerate(self.row_labels):
+            check_type(label, str, f"row label {k}")
+        for k, label in enumerate(self.col_labels):
+            check_type(label, str, f"column label {k}")
         if len(self.payoffs) != len(self.row_labels):
             raise ValidationError(
                 f"payoff matrix has {len(self.payoffs)} rows, expected {len(self.row_labels)}"
             )
+        payoffs = []
         for i, row in enumerate(self.payoffs):
+            if not isinstance(row, (list, tuple)):
+                raise ValidationError(f"payoff row {i} must be a list")
             if len(row) != len(self.col_labels):
                 raise ValidationError(
                     f"payoff row {i} has {len(row)} cells, expected {len(self.col_labels)}"
                 )
-            for j, (rp, cp) in enumerate(row):
-                if not (math.isfinite(rp) and math.isfinite(cp)):
-                    raise ValidationError(f"payoff cell ({i}, {j}) is not finite")
+            cells = []
+            for j, cell in enumerate(row):
+                if not (isinstance(cell, (list, tuple)) and len(cell) == 2):
+                    raise ValidationError(f"payoff cell ({i}, {j}) must be a [row, col] pair")
+                what = f"payoff cell ({i}, {j})"
+                check_number(cell[0], what, -_FLOAT_MAX, _FLOAT_MAX)
+                check_number(cell[1], what, -_FLOAT_MAX, _FLOAT_MAX)
+                cells.append((float(cell[0]), float(cell[1])))
+            payoffs.append(tuple(cells))
+        object.__setattr__(self, "payoffs", tuple(payoffs))  # frozen: store the normalized form
 
     @property
     def n_rows(self) -> int:
@@ -98,11 +120,7 @@ def make_game(
     payoffs: list[list[tuple[float, float]]],
 ) -> BimatrixGame:
     """Build a game from plain lists, normalizing to the immutable form."""
-    return BimatrixGame(
-        row_labels=tuple(row_labels),
-        col_labels=tuple(col_labels),
-        payoffs=tuple(tuple((float(r), float(c)) for r, c in row) for row in payoffs),
-    )
+    return BimatrixGame(row_labels=tuple(row_labels), col_labels=tuple(col_labels), payoffs=tuple(payoffs))
 
 
 # Ransom game cell order (row-major): (NotPay, Decrypt), (NotPay, NotDecrypt),
@@ -313,36 +331,7 @@ def game_to_dict(g: BimatrixGame) -> dict:
 
 def game_from_dict(data: dict) -> BimatrixGame:
     """Parse and validate a game document produced by :func:`game_to_dict`."""
-    if not isinstance(data, dict):
-        raise ValidationError("game document must be a JSON object")
+    check_keys(data, "game document", ("row_labels", "col_labels", "payoffs"))
     for key in ("row_labels", "col_labels", "payoffs"):
-        if key not in data:
-            raise ValidationError(f"game document missing key '{key}'")
-    extra = set(data) - {"row_labels", "col_labels", "payoffs"}
-    if extra:
-        raise ValidationError(f"game document has unknown keys: {sorted(extra)}")
-    rows = data["row_labels"]
-    cols = data["col_labels"]
-    payoffs = data["payoffs"]
-    if not (isinstance(rows, list) and all(isinstance(x, str) for x in rows)):
-        raise ValidationError("'row_labels' must be a list of strings")
-    if not (isinstance(cols, list) and all(isinstance(x, str) for x in cols)):
-        raise ValidationError("'col_labels' must be a list of strings")
-    if not isinstance(payoffs, list):
-        raise ValidationError("'payoffs' must be a list of rows")
-    cells: list[list[tuple[float, float]]] = []
-    for i, row in enumerate(payoffs):
-        if not isinstance(row, list):
-            raise ValidationError(f"payoff row {i} must be a list")
-        parsed_row: list[tuple[float, float]] = []
-        for j, cell in enumerate(row):
-            if not (isinstance(cell, list) and len(cell) == 2):
-                raise ValidationError(f"payoff cell ({i}, {j}) must be a [row, col] pair")
-            rp, cp = cell
-            if isinstance(rp, bool) or isinstance(cp, bool):
-                raise ValidationError(f"payoff cell ({i}, {j}) must hold numbers")
-            if not (isinstance(rp, (int, float)) and isinstance(cp, (int, float))):
-                raise ValidationError(f"payoff cell ({i}, {j}) must hold numbers")
-            parsed_row.append((float(rp), float(cp)))
-        cells.append(parsed_row)
-    return make_game(rows, cols, cells)
+        check_type(data[key], list, f"'{key}'")
+    return make_game(data["row_labels"], data["col_labels"], data["payoffs"])

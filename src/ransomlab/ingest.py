@@ -1,9 +1,9 @@
 """Loading and validation of JSON input documents.
 
-All ingestion is strict: unknown keys, missing keys, and out-of-range values
-are rejected with messages naming the offending key, never coerced or
-clamped. Documents are UTF-8 JSON; numeric fields accept integers or
-decimals.
+All ingestion is strict: an absent or unexpected key and an out-of-range
+value are each rejected with a message naming the offending key, never
+coerced or clamped. Documents are UTF-8 JSON; numeric fields accept
+integers or decimals.
 
 Profile documents pair a display name with the nine scenario variables,
 keyed by their uppercase letters::
@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ValidationError
+from .errors import ValidationError, check_keys, check_type
 from .scoring import TraitProfile
 from .simnet import Network, network_from_dict
 from .strategies import StrategyCatalog, catalog_from_dict
@@ -44,28 +44,15 @@ class ProfileDocument:
     name: str
     profile: TraitProfile
 
+    def __post_init__(self) -> None:
+        check_type(self.name, str, "'name'")
+
 
 def parse_profile_document(data: dict) -> ProfileDocument:
     """Parse and validate a profile document."""
-    if not isinstance(data, dict):
-        raise ValidationError("profile document must be a JSON object")
-    for key in ("name", "variables"):
-        if key not in data:
-            raise ValidationError(f"profile document missing key '{key}'")
-    extra = set(data) - {"name", "variables"}
-    if extra:
-        raise ValidationError(f"profile document has unknown keys: {sorted(extra)}")
-    if not isinstance(data["name"], str):
-        raise ValidationError("'name' must be a string")
+    check_keys(data, "profile document", ("name", "variables"))
     variables = data["variables"]
-    if not isinstance(variables, dict):
-        raise ValidationError("'variables' must be a JSON object")
-    missing = [k for k in VARIABLE_KEYS if k not in variables]
-    if missing:
-        raise ValidationError(f"'variables' missing keys: {missing}")
-    unknown = sorted(set(variables) - set(VARIABLE_KEYS))
-    if unknown:
-        raise ValidationError(f"'variables' has unknown keys: {unknown}")
+    check_keys(variables, "'variables'", VARIABLE_KEYS)
     profile = TraitProfile(**{k.lower(): variables[k] for k in VARIABLE_KEYS})
     return ProfileDocument(name=data["name"], profile=profile)
 
@@ -86,12 +73,18 @@ def load_json(path: str | Path) -> dict:
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ValidationError(f"{path}: file not found") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     except OSError as exc:
         raise ValidationError(f"{path}: {exc}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except (RecursionError, ValueError) as exc:
+        # Nesting deeper than the interpreter's recursion limit, or an integer
+        # literal longer than Python's int-conversion digit limit.
+        raise ValidationError(f"{path}: unreadable JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: top-level value must be a JSON object")
     return data

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ValidationError
+from .errors import ValidationError, check_number, check_type
 from .scoring import ScoreSet, TraitProfile, disinfection_payoff, score_all
 
 __all__ = [
@@ -93,14 +93,9 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.fixed_variable not in _SWEEP_VARIABLES:
             raise ValidationError(f"fixed_variable must be one of A..I, got {self.fixed_variable!r}")
-        if isinstance(self.fixed_value, bool) or not isinstance(self.fixed_value, (int, float)):
-            raise ValidationError(f"fixed_value must be a number, got {self.fixed_value!r}")
-        if not 0 <= self.fixed_value <= 100:
-            raise ValidationError(f"fixed_value must be in [0, 100], got {self.fixed_value}")
+        check_number(self.fixed_value, "fixed_value", 0, 100)
         for name in ("start", "stop", "step"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            check_type(getattr(self, name), int, name)
         if self.step < 1:
             raise ValidationError(f"step must be >= 1, got {self.step}")
         if not 0 <= self.start <= self.stop <= 100:

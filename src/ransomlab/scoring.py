@@ -17,10 +17,9 @@ All functions are pure and thread-safe. Out-of-range inputs raise
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
-from .errors import ValidationError
+from .errors import ValidationError, check_number
 
 __all__ = [
     "TraitProfile",
@@ -60,17 +59,7 @@ class TraitProfile:
 
     def __post_init__(self) -> None:
         for field in fields(self):
-            value = getattr(self, field.name)
-            _check_score(value, field.name.upper())
-
-
-def _check_score(value: float, name: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value!r}")
-    if not 0 <= value <= 100:
-        raise ValidationError(f"{name} must be in [0, 100], got {value}")
+            check_number(getattr(self, field.name), field.name.upper(), 0, 100)
 
 
 @dataclass(frozen=True)
@@ -126,8 +115,8 @@ def disinfection_payoff(c: float, s: float) -> float:
       sh <= 0.8              ->  100 * ch * sh
       otherwise              ->  100 * ch
     """
-    _check_score(c, "C")
-    _check_score(s, "S")
+    check_number(c, "C", 0, 100)
+    check_number(s, "S", 0, 100)
     ch = c / 100.0
     sh = s / 100.0
     if ch <= 0.2 or sh < 0.2:

@@ -29,7 +29,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 
-from .errors import ValidationError
+from .errors import ValidationError, check_keys, check_number, check_type
 
 __all__ = [
     "HostState",
@@ -58,16 +58,6 @@ class HostState(Enum):
     CLEANED = "Cleaned"
 
 
-def _check_unit_interval(value: float, what: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= 1:
-        raise ValidationError(f"{what} must be in [0, 1], got {value!r}")
-
-
-def _check_score_range(value: float, what: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= 100:
-        raise ValidationError(f"{what} must be in [0, 100], got {value!r}")
-
-
 @dataclass(frozen=True)
 class Host:
     """A machine on the network; awareness and protection damp infection."""
@@ -78,10 +68,10 @@ class Host:
     protection: float = 0.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.state, HostState):
-            raise ValidationError(f"host {self.id} state must be a HostState")
-        _check_score_range(self.awareness, f"host {self.id} awareness")
-        _check_score_range(self.protection, f"host {self.id} protection")
+        check_type(self.id, int, "host id")
+        check_type(self.state, HostState, "host state")
+        check_number(self.awareness, f"host {self.id} awareness", 0, 100)
+        check_number(self.protection, f"host {self.id} protection", 0, 100)
 
 
 @dataclass(frozen=True)
@@ -90,6 +80,10 @@ class CloudStore:
 
     id: int
     contaminated: bool = False
+
+    def __post_init__(self) -> None:
+        check_type(self.id, int, "cloud id")
+        check_type(self.contaminated, bool, f"cloud {self.id} contaminated")
 
 
 @dataclass(frozen=True)
@@ -101,7 +95,9 @@ class Edge:
     prob: float
 
     def __post_init__(self) -> None:
-        _check_unit_interval(self.prob, f"edge ({self.host}, {self.cloud}) prob")
+        check_type(self.host, int, "edge host")
+        check_type(self.cloud, int, "edge cloud")
+        check_number(self.prob, f"edge ({self.host}, {self.cloud}) prob", 0, 1)
 
 
 @dataclass(frozen=True)
@@ -143,12 +139,13 @@ class SimConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.ticks, int) or isinstance(self.ticks, bool) or self.ticks < 0:
-            raise ValidationError(f"ticks must be a nonnegative integer, got {self.ticks!r}")
-        _check_unit_interval(self.base_infection_prob, "base_infection_prob")
-        _check_unit_interval(self.clean_prob_per_tick, "clean_prob_per_tick")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
+        check_type(self.ticks, int, "ticks")
+        if self.ticks < 0:
+            raise ValidationError(f"ticks must be nonnegative, got {self.ticks}")
+        check_number(self.base_infection_prob, "base_infection_prob", 0, 1)
+        check_number(self.clean_prob_per_tick, "clean_prob_per_tick", 0, 1)
+        check_type(self.reinfection_allowed, bool, "reinfection_allowed")
+        check_type(self.seed, int, "seed")
 
 
 @dataclass(frozen=True)
@@ -305,36 +302,15 @@ def network_to_dict(net: Network) -> dict:
     }
 
 
-def _require_int(value: object, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def network_from_dict(data: dict) -> Network:
     """Parse and validate a network document produced by :func:`network_to_dict`."""
-    if not isinstance(data, dict):
-        raise ValidationError("network document must be a JSON object")
+    check_keys(data, "network document", ("hosts", "clouds", "edges"))
     for key in ("hosts", "clouds", "edges"):
-        if key not in data:
-            raise ValidationError(f"network document missing key '{key}'")
-    extra = set(data) - {"hosts", "clouds", "edges"}
-    if extra:
-        raise ValidationError(f"network document has unknown keys: {sorted(extra)}")
-    for key in ("hosts", "clouds", "edges"):
-        if not isinstance(data[key], list):
-            raise ValidationError(f"'{key}' must be a list")
+        check_type(data[key], list, f"'{key}'")
 
     hosts: list[Host] = []
     for idx, entry in enumerate(data["hosts"]):
-        if not isinstance(entry, dict):
-            raise ValidationError(f"host {idx} must be a JSON object")
-        missing = {"id", "state", "awareness", "protection"} - set(entry)
-        if missing:
-            raise ValidationError(f"host {idx} missing keys: {sorted(missing)}")
-        unknown = set(entry) - {"id", "state", "awareness", "protection"}
-        if unknown:
-            raise ValidationError(f"host {idx} has unknown keys: {sorted(unknown)}")
+        check_keys(entry, f"host {idx}", ("id", "state", "awareness", "protection"))
         try:
             state = HostState(entry["state"])
         except ValueError:
@@ -342,44 +318,17 @@ def network_from_dict(data: dict) -> Network:
                 f"host {idx} state must be one of Susceptible/Infected/Cleaned, got {entry['state']!r}"
             ) from None
         hosts.append(
-            Host(
-                id=_require_int(entry["id"], f"host {idx} id"),
-                state=state,
-                awareness=entry["awareness"],
-                protection=entry["protection"],
-            )
+            Host(id=entry["id"], state=state, awareness=entry["awareness"], protection=entry["protection"])
         )
 
     clouds: list[CloudStore] = []
     for idx, entry in enumerate(data["clouds"]):
-        if not isinstance(entry, dict):
-            raise ValidationError(f"cloud {idx} must be a JSON object")
-        missing = {"id", "contaminated"} - set(entry)
-        if missing:
-            raise ValidationError(f"cloud {idx} missing keys: {sorted(missing)}")
-        unknown = set(entry) - {"id", "contaminated"}
-        if unknown:
-            raise ValidationError(f"cloud {idx} has unknown keys: {sorted(unknown)}")
-        if not isinstance(entry["contaminated"], bool):
-            raise ValidationError(f"cloud {idx} contaminated must be a boolean")
-        clouds.append(CloudStore(id=_require_int(entry["id"], f"cloud {idx} id"), contaminated=entry["contaminated"]))
+        check_keys(entry, f"cloud {idx}", ("id", "contaminated"))
+        clouds.append(CloudStore(id=entry["id"], contaminated=entry["contaminated"]))
 
     edges: list[Edge] = []
     for idx, entry in enumerate(data["edges"]):
-        if not isinstance(entry, dict):
-            raise ValidationError(f"edge {idx} must be a JSON object")
-        missing = {"host", "cloud", "prob"} - set(entry)
-        if missing:
-            raise ValidationError(f"edge {idx} missing keys: {sorted(missing)}")
-        unknown = set(entry) - {"host", "cloud", "prob"}
-        if unknown:
-            raise ValidationError(f"edge {idx} has unknown keys: {sorted(unknown)}")
-        edges.append(
-            Edge(
-                host=_require_int(entry["host"], f"edge {idx} host"),
-                cloud=_require_int(entry["cloud"], f"edge {idx} cloud"),
-                prob=entry["prob"],
-            )
-        )
+        check_keys(entry, f"edge {idx}", ("host", "cloud", "prob"))
+        edges.append(Edge(host=entry["host"], cloud=entry["cloud"], prob=entry["prob"]))
 
     return Network(hosts=tuple(hosts), clouds=tuple(clouds), edges=tuple(edges))

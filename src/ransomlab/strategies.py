@@ -3,9 +3,8 @@
 Ships the five stock strategies (ransom payment, the 64-zeros decryption
 flaw, shadow volume copies, plain antivirus removal, and antivirus plus a
 dedicated cleaner) with their step lists, 0-10 complexities, effectiveness
-and reinfection-risk levels. The default catalog lives both as a built-in
-constant and as the packaged ``data/default_catalog.json``; the file wins
-when present so deployments can patch the data without code changes.
+and reinfection-risk levels. The default catalog is defined only by the
+packaged ``data/default_catalog.json``, parsed once per process.
 
 Ranking scores each strategy 0-100 for a concrete trait profile as a
 weighted blend of effectiveness, complexity (discounted by up to half for a
@@ -15,12 +14,13 @@ scenario itself.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 
-from .errors import ValidationError
+from .errors import ValidationError, check_keys, check_number, check_type
 from .scoring import TraitProfile, disinfection_payoff, severity
 
 __all__ = [
@@ -51,13 +51,6 @@ EFFECTIVENESS_VALUES = {Level.LOW: 25.0, Level.MEDIUM: 60.0, Level.HIGH: 90.0}
 RISK_VALUES = {Level.LOW: 10.0, Level.MEDIUM: 50.0, Level.HIGH: 90.0}
 
 
-def _check_complexity(value: float, what: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{what} complexity must be a number, got {value!r}")
-    if not 0 <= value <= 10:
-        raise ValidationError(f"{what} complexity must be in [0, 10], got {value}")
-
-
 @dataclass(frozen=True)
 class Step:
     """One action within a recovery strategy."""
@@ -67,7 +60,10 @@ class Step:
     note: str | None = None
 
     def __post_init__(self) -> None:
-        _check_complexity(self.complexity, f"step '{self.description}'")
+        check_type(self.description, str, "step description")
+        check_number(self.complexity, f"step '{self.description}' complexity", 0, 10)
+        if self.note is not None:
+            check_type(self.note, str, f"step '{self.description}' note")
 
 
 @dataclass(frozen=True)
@@ -82,9 +78,12 @@ class Strategy:
     note: str | None = None
 
     def __post_init__(self) -> None:
-        _check_complexity(self.overall_complexity, f"strategy '{self.name}'")
+        check_type(self.name, str, "strategy name")
+        check_number(self.overall_complexity, f"strategy '{self.name}' complexity", 0, 10)
         if not isinstance(self.effectiveness, Level) or not isinstance(self.reinfection_risk, Level):
             raise ValidationError(f"strategy '{self.name}' levels must be Low/Medium/High")
+        if self.note is not None:
+            check_type(self.note, str, f"strategy '{self.name}' note")
 
 
 @dataclass(frozen=True)
@@ -100,87 +99,15 @@ class StrategyCatalog:
             raise ValidationError(f"duplicate strategy names: {dupes}")
 
 
-_BUILTIN_STRATEGIES = (
-    Strategy(
-        name="Ransom payment",
-        steps=(),
-        overall_complexity=1,
-        effectiveness=Level.LOW,
-        reinfection_risk=Level.HIGH,
-    ),
-    Strategy(
-        name="Decrypt taking advantage of VirLock's flaw",
-        steps=(
-            Step("Enter 64 zeros in the decryption key field", 1),
-            Step(
-                "Click in every file of the computer",
-                8,
-                note="depends since it is more time consuming than complex",
-            ),
-        ),
-        overall_complexity=5,
-        effectiveness=Level.MEDIUM,
-        reinfection_risk=Level.HIGH,
-    ),
-    Strategy(
-        name="Recover using shadow volume copies",
-        steps=(
-            Step("Have shadow volume copies enabled and available beforehand", 2),
-            Step("Boot into the Windows OS in safe mode", 4),
-            Step("Recover to a previous shadow copy", 4),
-        ),
-        overall_complexity=4,
-        effectiveness=Level.HIGH,
-        reinfection_risk=Level.MEDIUM,
-        note="effectiveness depends on shadow copies existing and being recent",
-    ),
-    Strategy(
-        name="Malware removal with antivirus",
-        steps=(
-            Step("Boot into the Windows OS in safe mode", 4),
-            Step("Install an antivirus using an external device", 4, note="not always necessary"),
-            Step("Scan the device for malware", 2),
-        ),
-        overall_complexity=6,
-        effectiveness=Level.HIGH,
-        reinfection_risk=Level.LOW,
-    ),
-    Strategy(
-        name="Recover using antivirus + cleaner",
-        steps=(
-            Step("Boot into the Windows OS in safe mode", 4),
-            Step("Install an antivirus using an external device", 4, note="not always necessary"),
-            Step("Install a VirLock cleaner using an external device", 4, note="not always necessary"),
-            Step(
-                "Run the cleaner",
-                5,
-                note="requires several steps and might result in deleting files that are not infected",
-            ),
-            Step("Scan the device for malware", 2),
-        ),
-        overall_complexity=8,
-        effectiveness=Level.HIGH,
-        reinfection_risk=Level.LOW,
-    ),
-)
-
-_BUILTIN_CATALOG = StrategyCatalog(strategies=_BUILTIN_STRATEGIES)
-
-
+@functools.cache
 def default_catalog() -> StrategyCatalog:
-    """The shipped five-strategy catalog.
+    """The shipped five-strategy catalog, parsed from ``data/default_catalog.json``.
 
-    Reads the packaged ``data/default_catalog.json`` when present (so the
-    file overrides the built-in constant) and falls back to the constant
-    otherwise.
+    Parsed once per process; sharing the result is safe because a catalog is
+    immutable. A missing packaged file raises :class:`OSError`.
     """
-    try:
-        resource = resources.files(__package__).joinpath("data/default_catalog.json")
-        if resource.is_file():
-            return catalog_from_dict(json.loads(resource.read_text(encoding="utf-8")))
-    except OSError:
-        pass
-    return _BUILTIN_CATALOG
+    resource = resources.files(__package__).joinpath("data/default_catalog.json")
+    return catalog_from_dict(json.loads(resource.read_text(encoding="utf-8")))
 
 
 def rank_strategies(
@@ -200,8 +127,8 @@ def rank_strategies(
     weights = tuple(weights)
     if len(weights) != 4:
         raise ValidationError(f"expected 4 ranking weights, got {len(weights)}")
-    if any(isinstance(w, bool) or not isinstance(w, (int, float)) or w < 0 for w in weights):
-        raise ValidationError("ranking weights must be nonnegative numbers")
+    for w in weights:
+        check_number(w, "ranking weight", 0, 1)
     if abs(sum(weights) - 1.0) > 1e-9:
         raise ValidationError(f"ranking weights must sum to 1, got {sum(weights)}")
 
@@ -253,65 +180,28 @@ def _parse_level(value: object, what: str) -> Level:
 
 def catalog_from_dict(data: dict) -> StrategyCatalog:
     """Parse and validate a catalog document produced by :func:`catalog_to_dict`."""
-    if not isinstance(data, dict):
-        raise ValidationError("catalog document must be a JSON object")
-    if "strategies" not in data:
-        raise ValidationError("catalog document missing key 'strategies'")
-    extra = set(data) - {"strategies"}
-    if extra:
-        raise ValidationError(f"catalog document has unknown keys: {sorted(extra)}")
-    if not isinstance(data["strategies"], list):
-        raise ValidationError("'strategies' must be a list")
+    check_keys(data, "catalog document", ("strategies",))
+    check_type(data["strategies"], list, "'strategies'")
 
     strategies: list[Strategy] = []
     for idx, entry in enumerate(data["strategies"]):
-        if not isinstance(entry, dict):
-            raise ValidationError(f"strategy {idx} must be a JSON object")
-        allowed = {"name", "overall_complexity", "effectiveness", "reinfection_risk", "steps", "note"}
-        missing = allowed - {"note"} - set(entry)
-        if missing:
-            raise ValidationError(f"strategy {idx} missing keys: {sorted(missing)}")
-        extra = set(entry) - allowed
-        if extra:
-            raise ValidationError(f"strategy {idx} has unknown keys: {sorted(extra)}")
-        if not isinstance(entry["name"], str):
-            raise ValidationError(f"strategy {idx} name must be a string")
-        if not isinstance(entry["steps"], list):
-            raise ValidationError(f"strategy '{entry['name']}' steps must be a list")
+        what = f"strategy {idx}"
+        check_keys(
+            entry, what, ("name", "overall_complexity", "effectiveness", "reinfection_risk", "steps"), ("note",)
+        )
+        check_type(entry["steps"], list, f"{what} steps")
         steps: list[Step] = []
         for sidx, step_entry in enumerate(entry["steps"]):
-            if not isinstance(step_entry, dict):
-                raise ValidationError(f"strategy '{entry['name']}' step {sidx} must be a JSON object")
-            step_allowed = {"description", "complexity", "note"}
-            step_missing = {"description", "complexity"} - set(step_entry)
-            if step_missing:
-                raise ValidationError(
-                    f"strategy '{entry['name']}' step {sidx} missing keys: {sorted(step_missing)}"
-                )
-            step_extra = set(step_entry) - step_allowed
-            if step_extra:
-                raise ValidationError(
-                    f"strategy '{entry['name']}' step {sidx} has unknown keys: {sorted(step_extra)}"
-                )
-            if not isinstance(step_entry["description"], str):
-                raise ValidationError(f"strategy '{entry['name']}' step {sidx} description must be a string")
-            note = step_entry.get("note")
-            if note is not None and not isinstance(note, str):
-                raise ValidationError(f"strategy '{entry['name']}' step {sidx} note must be a string")
-            steps.append(Step(step_entry["description"], step_entry["complexity"], note))
-        note = entry.get("note")
-        if note is not None and not isinstance(note, str):
-            raise ValidationError(f"strategy '{entry['name']}' note must be a string")
+            check_keys(step_entry, f"{what} step {sidx}", ("description", "complexity"), ("note",))
+            steps.append(Step(step_entry["description"], step_entry["complexity"], step_entry.get("note")))
         strategies.append(
             Strategy(
                 name=entry["name"],
                 steps=tuple(steps),
                 overall_complexity=entry["overall_complexity"],
-                effectiveness=_parse_level(entry["effectiveness"], f"strategy '{entry['name']}' effectiveness"),
-                reinfection_risk=_parse_level(
-                    entry["reinfection_risk"], f"strategy '{entry['name']}' reinfection_risk"
-                ),
-                note=note,
+                effectiveness=_parse_level(entry["effectiveness"], f"{what} effectiveness"),
+                reinfection_risk=_parse_level(entry["reinfection_risk"], f"{what} reinfection_risk"),
+                note=entry.get("note"),
             )
         )
     return StrategyCatalog(strategies=tuple(strategies))
