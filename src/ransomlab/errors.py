@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Collection
+from enum import Enum
+from typing import Collection, TypeVar
+
+EnumT = TypeVar("EnumT", bound=Enum)
 
 
 class ValidationError(ValueError):
@@ -32,7 +35,7 @@ def check_number(value: object, what: str, lo: float, hi: float) -> None:
 def check_type(value: object, kind: type, what: str) -> None:
     """Reject ``value`` unless it is a ``kind``; a bool never counts as an int."""
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        name = _KIND_NAMES.get(kind, f"a {kind.__name__}")
+        name = _KIND_NAMES.get(kind) or f"{'an' if kind.__name__[0] in 'AEIOU' else 'a'} {kind.__name__}"
         raise ValidationError(f"{what} must be {name}, got {type(value).__name__}")
 
 
@@ -46,3 +49,12 @@ def check_keys(data: object, what: str, required: Collection[str], optional: Col
         unknown = sorted((key for key in data if key not in required and key not in optional), key=str)
         if unknown:
             raise ValidationError(f"{what} has unknown keys: {unknown}")
+
+
+def check_enum(value: object, kind: type[EnumT], what: str) -> EnumT:
+    """Return the member of ``kind`` whose value is ``value``, or reject it naming every allowed value."""
+    try:
+        return kind(value)
+    except ValueError:
+        allowed = "/".join(member.value for member in kind)
+        raise ValidationError(f"{what} must be one of {allowed}, got {value!r}") from None

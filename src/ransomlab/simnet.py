@@ -21,6 +21,11 @@ runs are bit-reproducible and probability dominance is testable per draw:
 Draws are consumed for every edge and host even when the outcome cannot
 apply (the threshold is then zero), which keeps the draw sequence aligned
 across configurations that share a seed.
+
+:func:`run` and :func:`monte_carlo_f` flatten the network once per call into
+per-edge lists and run this schedule over them. :func:`step` spells the same
+schedule out over ``Network`` objects; it is the reference oracle the tests
+compare the compiled kernel against, draw for draw.
 """
 
 from __future__ import annotations
@@ -28,8 +33,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
+from itertools import repeat, starmap
 
-from .errors import ValidationError, check_keys, check_number, check_type
+from .errors import ValidationError, check_enum, check_keys, check_number, check_type
 
 __all__ = [
     "HostState",
@@ -109,6 +115,13 @@ class Network:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
+        for name, kind in (("hosts", Host), ("clouds", CloudStore), ("edges", Edge)):
+            items = getattr(self, name)
+            if not isinstance(items, (tuple, list)):
+                raise ValidationError(f"network {name} must be a tuple or list, got {type(items).__name__}")
+            what = f"network {name[:-1]}"
+            for item in items:
+                check_type(item, kind, what)
         host_ids = [h.id for h in self.hosts]
         cloud_ids = [c.id for c in self.clouds]
         if len(host_ids) != len(set(host_ids)):
@@ -174,6 +187,10 @@ class MonteCarloSummary:
     final_fs: tuple[float, ...]
 
 
+_S, _I, _C = 0, 1, 2
+_STATE_CODE = {HostState.SUSCEPTIBLE: _S, HostState.INFECTED: _I, HostState.CLEANED: _C}
+
+
 def _sorted_edges(net: Network) -> list[Edge]:
     return sorted(net.edges, key=lambda e: (e.host, e.cloud))
 
@@ -182,6 +199,9 @@ def step(net: Network, cfg: SimConfig, rng: random.Random) -> Network:
     """Advance the network by one synchronous tick, consuming ``rng`` in place.
 
     See the module docstring for the three phases and the exact draw order.
+    This is the readable reference for the schedule: :func:`run` and
+    :func:`monte_carlo_f` use a compiled kernel that must agree with repeated
+    ``step`` calls bit for bit, and the tests check that it does.
     """
     states = {h.id: h.state for h in net.hosts}
     hosts_by_id = {h.id: h for h in net.hosts}
@@ -233,17 +253,77 @@ def step(net: Network, cfg: SimConfig, rng: random.Random) -> Network:
     return Network(hosts=tuple(new_hosts), clouds=new_clouds, edges=net.edges)
 
 
-def _counts(net: Network, tick: int) -> TickCounts:
-    susceptible = sum(1 for h in net.hosts if h.state is HostState.SUSCEPTIBLE)
-    infected = sum(1 for h in net.hosts if h.state is HostState.INFECTED)
-    cleaned = sum(1 for h in net.hosts if h.state is HostState.CLEANED)
-    return TickCounts(
-        tick=tick,
-        susceptible=susceptible,
-        infected=infected,
-        cleaned=cleaned,
-        contaminated_clouds=sum(1 for c in net.clouds if c.contaminated),
-    )
+class _Kernel:
+    """The network flattened once for one configuration, run many times.
+
+    Hosts are indexed in ascending id and edges held in the draw order of
+    :func:`step`, as flat per-edge lists of host index, cloud index, ``prob``
+    and phase-2 threshold. Each run keeps host states (``_S``/``_I``/``_C``)
+    and cloud contamination in a ``bytearray`` and makes exactly the draws of
+    :func:`step`, in the same order, with the same comparisons.
+    """
+
+    def __init__(self, net: Network, cfg: SimConfig) -> None:
+        hosts = sorted(net.hosts, key=lambda h: h.id)
+        host_index = {h.id: i for i, h in enumerate(hosts)}
+        cloud_index = {c.id: i for i, c in enumerate(net.clouds)}
+        edges = _sorted_edges(net)
+        self.edge_host = [host_index[e.host] for e in edges]
+        self.edge_cloud = [cloud_index[e.cloud] for e in edges]
+        self.edge_prob = [e.prob for e in edges]
+        # step()'s threshold expression, operand for operand, so every float matches.
+        self.edge_threshold = [
+            e.prob * cfg.base_infection_prob * (1.0 - h.protection / 100.0) * (1.0 - 0.5 * h.awareness / 100.0)
+            for e, h in zip(edges, (hosts[i] for i in self.edge_host))
+        ]
+        self.hosts = bytes(_STATE_CODE[h.state] for h in hosts)
+        self.clouds = bytes(c.contaminated for c in net.clouds)
+        self.ticks = cfg.ticks
+        self.clean = cfg.clean_prob_per_tick
+        self.eligible = (1, 0, 1 if cfg.reinfection_allowed else 0)  # indexed by state code
+
+    def run(self, seed: int, counts: list[tuple[int, int, int, int]] | None = None) -> float:
+        """Run ``ticks`` ticks from a fresh RNG seeded ``seed``; return ``final_f``.
+
+        When ``counts`` is a list, the (susceptible, infected, cleaned,
+        contaminated clouds) counts of the initial state and of every tick
+        are appended to it.
+        """
+        draw = random.Random(seed).random
+        hosts, clouds = bytearray(self.hosts), bytearray(self.clouds)
+        edge_host, edge_cloud, eligible, clean = self.edge_host, self.edge_cloud, self.eligible, self.clean
+        edge_prob, edge_threshold = self.edge_prob, self.edge_threshold
+        n_edges, n_hosts = len(edge_host), len(hosts)
+        ever = {i for i, s in enumerate(hosts) if s == _I}
+        for tick in range(self.ticks + 1):
+            if counts is not None:
+                counts.append((hosts.count(_S), hosts.count(_I), hosts.count(_C), clouds.count(1)))
+            if tick == self.ticks:
+                break
+            # Each comprehension makes all of its phase's draws before the next starts.
+            contaminate = [
+                c
+                for h, c, prob, u in zip(edge_host, edge_cloud, edge_prob, starmap(draw, repeat((), n_edges)))
+                if u < prob and hosts[h] == _I
+            ]
+            infect = [
+                h
+                for h, c, threshold, u in zip(edge_host, edge_cloud, edge_threshold, starmap(draw, repeat((), n_edges)))
+                if u < threshold and clouds[c] and eligible[hosts[h]]
+            ]
+            cleaned = [
+                i
+                for i, s, u in zip(range(n_hosts), hosts, starmap(draw, repeat((), n_hosts)))
+                if u < clean and s == _I
+            ]
+            for c in contaminate:
+                clouds[c] = 1
+            for i in cleaned:
+                hosts[i] = _C
+            for i in infect:
+                hosts[i] = _I
+            ever.update(infect)
+        return 100.0 * len(ever) / n_hosts if n_hosts else 0.0
 
 
 def run(net: Network, cfg: SimConfig) -> Trajectory:
@@ -253,17 +333,12 @@ def run(net: Network, cfg: SimConfig) -> Trajectory:
     ``cfg.ticks + 1`` entries. ``final_f`` is the percentage of hosts that
     were infected at any recorded tick (initially infected hosts included).
     """
-    rng = random.Random(cfg.seed)
-    ever_infected = {h.id for h in net.hosts if h.state is HostState.INFECTED}
-    counts = [_counts(net, 0)]
-    current = net
-    for tick in range(1, cfg.ticks + 1):
-        current = step(current, cfg, rng)
-        ever_infected.update(h.id for h in current.hosts if h.state is HostState.INFECTED)
-        counts.append(_counts(current, tick))
-    total = len(net.hosts)
-    final_f = 100.0 * len(ever_infected) / total if total else 0.0
-    return Trajectory(counts=tuple(counts), final_f=final_f)
+    counts: list[tuple[int, int, int, int]] = []
+    final_f = _Kernel(net, cfg).run(cfg.seed, counts)
+    return Trajectory(
+        counts=tuple(TickCounts(tick, *c) for tick, c in enumerate(counts)),
+        final_f=final_f,
+    )
 
 
 def monte_carlo_f(net: Network, cfg: SimConfig, runs: int) -> MonteCarloSummary:
@@ -276,7 +351,8 @@ def monte_carlo_f(net: Network, cfg: SimConfig, runs: int) -> MonteCarloSummary:
     """
     if not isinstance(runs, int) or isinstance(runs, bool) or runs < 1:
         raise ValidationError(f"runs must be a positive integer, got {runs!r}")
-    final_fs = tuple(run(net, replace(cfg, seed=cfg.seed + i)).final_f for i in range(runs))
+    kernel = _Kernel(net, cfg)
+    final_fs = tuple(kernel.run(cfg.seed + i) for i in range(runs))
     mean = sum(final_fs) / runs
     variance = sum((f - mean) ** 2 for f in final_fs) / runs
     return MonteCarloSummary(mean_f=mean, stddev_f=math.sqrt(variance), final_fs=final_fs)
@@ -311,14 +387,13 @@ def network_from_dict(data: dict) -> Network:
     hosts: list[Host] = []
     for idx, entry in enumerate(data["hosts"]):
         check_keys(entry, f"host {idx}", ("id", "state", "awareness", "protection"))
-        try:
-            state = HostState(entry["state"])
-        except ValueError:
-            raise ValidationError(
-                f"host {idx} state must be one of Susceptible/Infected/Cleaned, got {entry['state']!r}"
-            ) from None
         hosts.append(
-            Host(id=entry["id"], state=state, awareness=entry["awareness"], protection=entry["protection"])
+            Host(
+                id=entry["id"],
+                state=check_enum(entry["state"], HostState, f"host {idx} state"),
+                awareness=entry["awareness"],
+                protection=entry["protection"],
+            )
         )
 
     clouds: list[CloudStore] = []

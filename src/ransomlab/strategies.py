@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 
-from .errors import ValidationError, check_keys, check_number, check_type
+from .errors import ValidationError, check_enum, check_keys, check_number, check_type
 from .scoring import TraitProfile, disinfection_payoff, severity
 
 __all__ = [
@@ -171,13 +171,6 @@ def catalog_to_dict(cat: StrategyCatalog) -> dict:
     return {"strategies": strategies}
 
 
-def _parse_level(value: object, what: str) -> Level:
-    try:
-        return Level(value)
-    except ValueError:
-        raise ValidationError(f"{what} must be one of Low/Medium/High, got {value!r}") from None
-
-
 def catalog_from_dict(data: dict) -> StrategyCatalog:
     """Parse and validate a catalog document produced by :func:`catalog_to_dict`."""
     check_keys(data, "catalog document", ("strategies",))
@@ -199,8 +192,8 @@ def catalog_from_dict(data: dict) -> StrategyCatalog:
                 name=entry["name"],
                 steps=tuple(steps),
                 overall_complexity=entry["overall_complexity"],
-                effectiveness=_parse_level(entry["effectiveness"], f"{what} effectiveness"),
-                reinfection_risk=_parse_level(entry["reinfection_risk"], f"{what} reinfection_risk"),
+                effectiveness=check_enum(entry["effectiveness"], Level, f"{what} effectiveness"),
+                reinfection_risk=check_enum(entry["reinfection_risk"], Level, f"{what} reinfection_risk"),
                 note=entry.get("note"),
             )
         )

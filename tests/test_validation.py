@@ -19,7 +19,7 @@ from ransomlab.errors import ValidationError, check_keys
 from ransomlab.games import BimatrixGame, game_from_dict, game_to_dict, make_game, ransom_game
 from ransomlab.ingest import ProfileDocument, parse_profile_document
 from ransomlab.scoring import TraitProfile
-from ransomlab.simnet import CloudStore, Edge, Host, SimConfig, network_from_dict
+from ransomlab.simnet import CloudStore, Edge, Host, Network, SimConfig, network_from_dict
 from ransomlab.strategies import (
     Level,
     Step,
@@ -104,6 +104,10 @@ BAD_CONSTRUCTIONS = {
     "cloud int contaminated": lambda: CloudStore(id=0, contaminated=1),
     "edge string host": lambda: Edge(host="0", cloud=0, prob=0.5),
     "edge float cloud": lambda: Edge(host=0, cloud=1.0, prob=0.5),
+    "network int host": lambda: Network(hosts=(1,), clouds=(), edges=()),
+    "network tuple edge": lambda: Network(hosts=(Host(id=0),), clouds=(CloudStore(id=0),), edges=((0, 0, 0.5),)),
+    "network none hosts": lambda: Network(hosts=None, clouds=(), edges=()),
+    "network host as cloud": lambda: Network(hosts=(), clouds=(Host(id=0),), edges=()),
     "config string reinfection": lambda: SimConfig(
         ticks=5, base_infection_prob=0.5, clean_prob_per_tick=0.0, reinfection_allowed="no", seed=1
     ),
@@ -157,6 +161,18 @@ def test_game_cells_accept_ints_and_floats_but_not_bools():
 
 
 # -- shared helper and catalog -------------------------------------------------
+
+
+def test_enum_fields_name_every_allowed_value():
+    host = {"id": 0, "state": "Zombie", "awareness": 0, "protection": 0}
+    with pytest.raises(ValidationError) as err:
+        network_from_dict({"hosts": [host], "clouds": [], "edges": []})
+    assert str(err.value) == "host 0 state must be one of Susceptible/Infected/Cleaned, got 'Zombie'"
+    doc = catalog_to_dict(default_catalog())
+    doc["strategies"][1]["effectiveness"] = ["High"]
+    with pytest.raises(ValidationError) as err:
+        catalog_from_dict(doc)
+    assert str(err.value) == "strategy 1 effectiveness must be one of Low/Medium/High, got ['High']"
 
 
 def test_check_keys_reports_shape_then_missing_then_unknown():
