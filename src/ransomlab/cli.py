@@ -26,7 +26,7 @@ from typing import Sequence
 from . import games, report, simnet
 from .errors import ValidationError
 from .ingest import load_network, load_profile, load_profile_document
-from .scoring import ScoreSet, score_all
+from .scoring import METRICS, score_all
 from .strategies import default_catalog, rank_strategies
 
 __all__ = ["main", "build_parser"]
@@ -38,28 +38,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _format_scores(scores: ScoreSet) -> str:
-    return (
-        f"SPS={scores.sps:.4f} S={scores.severity:.4f} "
-        f"DP={scores.disinfection_probability:.4f} DC={scores.disinfection_payoff:.4f}"
-    )
-
-
-def _scores_document(scores: ScoreSet) -> dict:
-    return {
-        "SPS": scores.sps,
-        "S": scores.severity,
-        "DP": scores.disinfection_probability,
-        "DC": scores.disinfection_payoff,
-    }
-
-
 def _cmd_score(args: argparse.Namespace) -> int:
-    scores = score_all(load_profile(args.profile))
+    scores = dict(zip(METRICS, score_all(load_profile(args.profile)).values()))
     if args.json:
-        print(json.dumps(_scores_document(scores)))
+        print(json.dumps(scores))
     else:
-        print(_format_scores(scores))
+        print(" ".join(f"{name}={value:.4f}" for name, value in scores.items()))
     return 0
 
 

@@ -6,6 +6,7 @@ from enum import Enum
 from typing import Collection, TypeVar
 
 EnumT = TypeVar("EnumT", bound=Enum)
+T = TypeVar("T")
 
 
 class ValidationError(ValueError):
@@ -37,6 +38,15 @@ def check_type(value: object, kind: type, what: str) -> None:
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         name = _KIND_NAMES.get(kind) or f"{'an' if kind.__name__[0] in 'AEIOU' else 'a'} {kind.__name__}"
         raise ValidationError(f"{what} must be {name}, got {type(value).__name__}")
+
+
+def check_items(items: object, kind: type[T], what: str, item_what: str) -> tuple[T, ...]:
+    """Return ``items`` as a tuple, rejecting anything but a tuple or list of ``kind`` instances."""
+    if not isinstance(items, (tuple, list)):
+        raise ValidationError(f"{what} must be a tuple or list, got {type(items).__name__}")
+    for item in items:
+        check_type(item, kind, item_what)
+    return tuple(items)
 
 
 def check_keys(data: object, what: str, required: Collection[str], optional: Collection[str] = ()) -> None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ValidationError, check_keys, check_type
-from .scoring import TraitProfile
+from .scoring import VARIABLE_KEYS, TraitProfile
 from .simnet import Network, network_from_dict
 from .strategies import StrategyCatalog, catalog_from_dict
 
@@ -33,9 +33,6 @@ __all__ = [
     "load_network",
     "load_json",
 ]
-
-VARIABLE_KEYS = ("A", "B", "C", "D", "E", "F", "G", "H", "I")
-
 
 @dataclass(frozen=True)
 class ProfileDocument:

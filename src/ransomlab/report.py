@@ -25,7 +25,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ValidationError, check_number, check_type
-from .scoring import ScoreSet, TraitProfile, disinfection_payoff, score_all
+from .scoring import (
+    METRICS, VARIABLE_KEYS, ScoreSet, TraitProfile, disinfection_payoff, disinfection_probability, score_all, severity,
+    spreadability_score,
+)
 
 __all__ = [
     "SweepSpec",
@@ -40,10 +43,6 @@ __all__ = [
     "render_csv",
     "render_svg",
 ]
-
-_METRICS = ("SPS", "S", "DP", "DC")
-_SWEEP_VARIABLES = ("A", "B", "C", "D", "E", "F", "G", "H", "I")
-
 
 @dataclass(frozen=True)
 class MetricComparison:
@@ -66,15 +65,8 @@ def compare_profiles(p1: TraitProfile, p2: TraitProfile) -> ProfileComparison:
     """Score both profiles and flag, per metric, which side is strictly higher."""
     s1 = score_all(p1)
     s2 = score_all(p2)
-    pairs = {
-        "SPS": (s1.sps, s2.sps),
-        "S": (s1.severity, s2.severity),
-        "DP": (s1.disinfection_probability, s2.disinfection_probability),
-        "DC": (s1.disinfection_payoff, s2.disinfection_payoff),
-    }
     metrics = []
-    for name in _METRICS:
-        a, b = pairs[name]
+    for name, a, b in zip(METRICS, s1.values(), s2.values()):
         higher = "first" if a > b else "second" if b > a else None
         metrics.append(MetricComparison(metric=name, first=a, second=b, higher=higher))
     return ProfileComparison(first=s1, second=s2, metrics=tuple(metrics))
@@ -91,7 +83,7 @@ class SweepSpec:
     step: int = 1
 
     def __post_init__(self) -> None:
-        if self.fixed_variable not in _SWEEP_VARIABLES:
+        if self.fixed_variable not in VARIABLE_KEYS:
             raise ValidationError(f"fixed_variable must be one of A..I, got {self.fixed_variable!r}")
         check_number(self.fixed_value, "fixed_value", 0, 100)
         for name in ("start", "stop", "step"):
@@ -108,10 +100,7 @@ class SweepSpec:
 @dataclass(frozen=True)
 class SweepRow:
     t: int
-    sps: float
-    severity: float
-    dp: float
-    dc: float
+    scores: ScoreSet
 
 
 @dataclass(frozen=True)
@@ -120,45 +109,46 @@ class SweepResult:
     rows: tuple[SweepRow, ...] = field(default_factory=tuple)
 
     def column(self, metric: str) -> list[float]:
-        attr = {"SPS": "sps", "S": "severity", "DP": "dp", "DC": "dc"}.get(metric)
+        attr = METRICS.get(metric)
         if attr is None:
             raise ValidationError(f"unknown metric {metric!r}")
-        return [getattr(row, attr) for row in self.rows]
+        return [getattr(row.scores, attr) for row in self.rows]
 
 
 def _diagonal_profile(spec: SweepSpec, t: int) -> TraitProfile:
-    values = {name: float(t) for name in _SWEEP_VARIABLES}
+    values = dict.fromkeys(VARIABLE_KEYS, float(t))
     values[spec.fixed_variable] = float(spec.fixed_value)
     if values["G"] == 0.0:
         values["G"] = 1.0
-    return TraitProfile(**{name.lower(): values[name] for name in _SWEEP_VARIABLES})
+    return TraitProfile(*values.values())
 
 
 def sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the four metrics at every point of the sweep."""
     rows = []
     for t in spec.values():
-        profile = _diagonal_profile(spec, t)
-        scores = score_all(profile)
-        rows.append(
-            SweepRow(
-                t=t,
-                sps=scores.sps,
-                severity=scores.severity,
-                dp=scores.disinfection_probability,
-                dc=disinfection_payoff(profile.c, float(t)),
-            )
+        p = _diagonal_profile(spec, t)
+        scores = ScoreSet(
+            sps=spreadability_score(p),
+            severity=severity(p),
+            disinfection_probability=disinfection_probability(p),
+            disinfection_payoff=disinfection_payoff(p.c, float(t)),
         )
+        rows.append(SweepRow(t=t, scores=scores))
     return SweepResult(spec=spec, rows=tuple(rows))
+
+
+_CSV_HEADER = ",".join(("t", *METRICS))
+_CSV_ROW = "%d" + ",%.4f" * len(METRICS)
 
 
 def sweep_csv(result: SweepResult) -> str:
     """CSV text with header ``t,SPS,S,DP,DC``, four decimals, LF endings."""
     if not result.rows:
         raise ValidationError("cannot render an empty sweep result")
-    lines = ["t,SPS,S,DP,DC"]
+    lines = [_CSV_HEADER]
     for row in result.rows:
-        lines.append(f"{row.t},{row.sps:.4f},{row.severity:.4f},{row.dp:.4f},{row.dc:.4f}")
+        lines.append(_CSV_ROW % (row.t, *row.scores.values()))
     return "\n".join(lines) + "\n"
 
 
@@ -255,7 +245,7 @@ def sweep_svg(result: SweepResult) -> str:
         f'font-family="sans-serif" transform="rotate(-90 20 {(_PLOT_TOP + _PLOT_BOTTOM) / 2:.2f})">score</text>'
     )
 
-    for metric in _METRICS:
+    for metric in METRICS:
         color = _SERIES_COLORS[metric]
         points = " ".join(
             f"{_x_position(row.t, t_min, t_max):.2f},{_y_position(value):.2f}"
@@ -264,7 +254,7 @@ def sweep_svg(result: SweepResult) -> str:
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{points}"/>')
 
     legend_x = _PLOT_RIGHT + 20.0
-    for idx, metric in enumerate(_METRICS):
+    for idx, metric in enumerate(METRICS):
         y = _PLOT_TOP + 20.0 + idx * 22.0
         color = _SERIES_COLORS[metric]
         parts.append(

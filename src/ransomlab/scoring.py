@@ -18,12 +18,15 @@ All functions are pure and thread-safe. Out-of-range inputs raise
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from .errors import ValidationError, check_number
 
 __all__ = [
     "TraitProfile",
+    "VARIABLE_KEYS",
     "ScoreSet",
+    "METRICS",
     "spreadability_score",
     "severity",
     "disinfection_probability",
@@ -62,6 +65,10 @@ class TraitProfile:
             check_number(getattr(self, field.name), field.name.upper(), 0, 100)
 
 
+# The variables' document keys, in order: each field's letter, upper-cased.
+VARIABLE_KEYS = tuple(field.name.upper() for field in fields(TraitProfile))
+
+
 @dataclass(frozen=True)
 class ScoreSet:
     """The four scores computed from one trait profile."""
@@ -70,6 +77,15 @@ class ScoreSet:
     severity: float
     disinfection_probability: float
     disinfection_payoff: float
+
+    def values(self) -> tuple[float, float, float, float]:
+        """The four scores in :data:`METRICS` order."""
+        return _metric_values(self)
+
+
+# Metric name -> ScoreSet attribute, in the order every report and CLI output lists them.
+METRICS = {"SPS": "sps", "S": "severity", "DP": "disinfection_probability", "DC": "disinfection_payoff"}
+_metric_values = attrgetter(*METRICS.values())
 
 
 def spreadability_score(p: TraitProfile) -> float:

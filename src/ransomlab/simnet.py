@@ -35,7 +35,7 @@ import random
 from dataclasses import dataclass, replace
 from itertools import repeat, starmap
 
-from .errors import ValidationError, check_enum, check_keys, check_number, check_type
+from .errors import ValidationError, check_enum, check_items, check_keys, check_number, check_type
 
 __all__ = [
     "HostState",
@@ -116,12 +116,8 @@ class Network:
 
     def __post_init__(self) -> None:
         for name, kind in (("hosts", Host), ("clouds", CloudStore), ("edges", Edge)):
-            items = getattr(self, name)
-            if not isinstance(items, (tuple, list)):
-                raise ValidationError(f"network {name} must be a tuple or list, got {type(items).__name__}")
-            what = f"network {name[:-1]}"
-            for item in items:
-                check_type(item, kind, what)
+            items = check_items(getattr(self, name), kind, f"network {name}", f"network {name[:-1]}")
+            object.__setattr__(self, name, items)  # frozen: store tuples, so equal networks hash equal
         host_ids = [h.id for h in self.hosts]
         cloud_ids = [c.id for c in self.clouds]
         if len(host_ids) != len(set(host_ids)):

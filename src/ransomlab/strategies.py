@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 
-from .errors import ValidationError, check_enum, check_keys, check_number, check_type
+from .errors import ValidationError, check_enum, check_items, check_keys, check_number, check_type
 from .scoring import TraitProfile, disinfection_payoff, severity
 
 __all__ = [
@@ -79,6 +79,8 @@ class Strategy:
 
     def __post_init__(self) -> None:
         check_type(self.name, str, "strategy name")
+        steps = check_items(self.steps, Step, f"strategy '{self.name}' steps", f"strategy '{self.name}' step")
+        object.__setattr__(self, "steps", steps)  # frozen: store a tuple, so equal strategies hash equal
         check_number(self.overall_complexity, f"strategy '{self.name}' complexity", 0, 10)
         if not isinstance(self.effectiveness, Level) or not isinstance(self.reinfection_risk, Level):
             raise ValidationError(f"strategy '{self.name}' levels must be Low/Medium/High")
@@ -93,7 +95,9 @@ class StrategyCatalog:
     strategies: tuple[Strategy, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        names = [s.name for s in self.strategies]
+        strategies = check_items(self.strategies, Strategy, "catalog strategies", "catalog strategy")
+        object.__setattr__(self, "strategies", strategies)  # frozen: store a tuple, so equal catalogs hash equal
+        names = [s.name for s in strategies]
         if len(names) != len(set(names)):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ValidationError(f"duplicate strategy names: {dupes}")

@@ -73,10 +73,10 @@ def test_sweep_respects_custom_range_and_step():
 
 def test_sweep_a20_spot_values():
     row = sweep(SweepSpec("A", 20)).rows[50]
-    assert row.sps == pytest.approx(71.0, abs=1e-9)
-    assert row.severity == pytest.approx(55.25, abs=1e-9)
-    assert row.dp == pytest.approx(45.5, abs=1e-9)
-    assert row.dc == pytest.approx(25.0, abs=1e-9)
+    assert row.scores.sps == pytest.approx(71.0, abs=1e-9)
+    assert row.scores.severity == pytest.approx(55.25, abs=1e-9)
+    assert row.scores.disinfection_probability == pytest.approx(45.5, abs=1e-9)
+    assert row.scores.disinfection_payoff == pytest.approx(25.0, abs=1e-9)
 
 
 def test_sweep_dc_column_independent_of_fixed_a():
@@ -96,23 +96,23 @@ def test_sweep_c90_follows_the_payoff_branches():
     for row in result.rows:
         severity_input = row.t / 100.0
         if severity_input < 0.2:
-            assert row.dc == 0.0
+            assert row.scores.disinfection_payoff == 0.0
         else:
-            assert row.dc == pytest.approx(90.0)
-    assert result.rows[50].severity == pytest.approx(54.0, abs=1e-9)
-    assert result.rows[50].dc == pytest.approx(90.0)
+            assert row.scores.disinfection_payoff == pytest.approx(90.0)
+    assert result.rows[50].scores.severity == pytest.approx(54.0, abs=1e-9)
+    assert result.rows[50].scores.disinfection_payoff == pytest.approx(90.0)
 
 
 def test_sweep_floors_g_at_one_on_the_diagonal():
     result = sweep(SweepSpec("A", 20, start=0, stop=0))
     # At t=0 the diagonal profile would carry G=0; the floor keeps the
     # severity evaluable: S = 0.25*SPS(20, 0) + 0.3*1 = 14 + 0.3.
-    assert result.rows[0].severity == pytest.approx(14.3, abs=1e-9)
+    assert result.rows[0].scores.severity == pytest.approx(14.3, abs=1e-9)
 
 
 def test_sweep_with_fixed_g_zero_is_floored_too():
     result = sweep(SweepSpec("G", 0, start=50, stop=50))
-    assert result.rows[0].severity == pytest.approx(0.45 * 50 + 0.25 * 50 + 0.3, abs=1e-9)
+    assert result.rows[0].scores.severity == pytest.approx(0.45 * 50 + 0.25 * 50 + 0.3, abs=1e-9)
 
 
 def test_fixing_b_changes_only_dp():

@@ -24,6 +24,7 @@ from ransomlab.strategies import (
     Level,
     Step,
     Strategy,
+    StrategyCatalog,
     catalog_from_dict,
     catalog_to_dict,
     default_catalog,
@@ -119,6 +120,14 @@ BAD_CONSTRUCTIONS = {
     "strategy list note": lambda: Strategy(
         name="x", steps=(), overall_complexity=1, effectiveness=Level.LOW, reinfection_risk=Level.LOW, note=["n"]
     ),
+    "strategy int step": lambda: Strategy(
+        name="x", steps=(1,), overall_complexity=1, effectiveness=Level.LOW, reinfection_risk=Level.LOW
+    ),
+    "strategy none steps": lambda: Strategy(
+        name="x", steps=None, overall_complexity=1, effectiveness=Level.LOW, reinfection_risk=Level.LOW
+    ),
+    "catalog int strategy": lambda: StrategyCatalog((1,)),
+    "catalog none strategies": lambda: StrategyCatalog(None),
     "game int row label": lambda: make_game([1], ["c"], [[(0, 0)]]),
     "game none column label": lambda: BimatrixGame(("r",), (None,), (((0.0, 0.0),),)),
     "profile document int name": lambda: ProfileDocument(name=5, profile=_PROFILE),
@@ -130,6 +139,22 @@ BAD_CONSTRUCTIONS = {
 def test_constructors_reject_bad_fields(build):
     with pytest.raises(ValidationError):
         build()
+
+
+def test_list_built_values_equal_and_hash_like_tuple_built():
+    step = Step(description="scan", complexity=1)
+
+    def strategy(steps):
+        return Strategy(name="x", steps=steps, overall_complexity=1, effectiveness=Level.LOW, reinfection_risk=Level.LOW)
+
+    pairs = [
+        (Network(hosts=[Host(id=0)], clouds=[], edges=[]), Network(hosts=(Host(id=0),), clouds=(), edges=())),
+        (strategy([step]), strategy((step,))),
+        (StrategyCatalog([strategy([step])]), StrategyCatalog((strategy((step,)),))),
+    ]
+    for from_lists, from_tuples in pairs:
+        assert from_lists == from_tuples
+        assert hash(from_lists) == hash(from_tuples)
 
 
 BAD_CELLS = {
