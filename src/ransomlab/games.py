@@ -3,10 +3,13 @@
 Covers the ransom-payment game (pay or not vs. decrypt or not), the
 classic prisoner's dilemma and snowdrift templates, pure Nash enumeration,
 the 2x2 interior mixed equilibrium, strict dominance, and a single
-explicit-Euler replicator step for symmetric games.
+explicit-Euler replicator step for symmetric games. Pure Nash and strict
+dominance read best responses: each column's best row payoff and each
+row's best column payoff, computed once per game.
 
-Everything operates on immutable :class:`BimatrixGame` values and is
-thread-safe. Games serialize to/from JSON documents of the form
+Everything operates on immutable, non-empty :class:`BimatrixGame` values
+(at least one row and one column) and is thread-safe. Games serialize
+to/from JSON documents of the form
 ``{"row_labels": [...], "col_labels": [...], "payoffs": [[[r, c], ...], ...]}``.
 """
 
@@ -58,6 +61,8 @@ class BimatrixGame:
             check_type(label, str, f"row label {k}")
         for k, label in enumerate(self.col_labels):
             check_type(label, str, f"column label {k}")
+        if not self.row_labels or not self.col_labels:
+            raise ValidationError("a game needs at least one row and one column")
         if len(self.payoffs) != len(self.row_labels):
             raise ValidationError(
                 f"payoff matrix has {len(self.payoffs)} rows, expected {len(self.row_labels)}"
@@ -109,9 +114,8 @@ class Equilibrium:
     def __post_init__(self) -> None:
         if self.kind not in ("pure", "mixed"):
             raise ValidationError(f"equilibrium kind must be 'pure' or 'mixed', got {self.kind!r}")
-        for name, mix in (("row", self.row_mix), ("col", self.col_mix)):
-            if any(x < 0 for x in mix) or abs(sum(mix) - 1.0) > 1e-9:
-                raise ValidationError(f"{name} mix must be nonnegative and sum to 1, got {mix}")
+        _check_mix(self.row_mix, len(self.row_mix), "row")
+        _check_mix(self.col_mix, len(self.col_mix), "column")
 
 
 def make_game(
@@ -186,28 +190,27 @@ def _unit_mix(n: int, k: int) -> tuple[float, ...]:
     return tuple(1.0 if idx == k else 0.0 for idx in range(n))
 
 
+def _best_payoffs(g: BimatrixGame) -> tuple[list[float], list[float]]:
+    """Each column's best row payoff and each row's best column payoff."""
+    col_best = [max(row_payoff for row_payoff, _ in column) for column in zip(*g.payoffs)]
+    row_best = [max(col_payoff for _, col_payoff in row) for row in g.payoffs]
+    return col_best, row_best
+
+
 def pure_nash(g: BimatrixGame) -> list[Equilibrium]:
     """All pure-strategy Nash equilibria, in row-major order.
 
     A profile qualifies when each player's strategy is a (weak) best response
-    to the other's.
+    to the other's: its row payoff is its column's best and its column payoff
+    is its row's best.
     """
-    results: list[Equilibrium] = []
-    for i in range(g.n_rows):
-        for j in range(g.n_cols):
-            row_best = all(g.row_payoff(k, j) <= g.row_payoff(i, j) for k in range(g.n_rows))
-            col_best = all(g.col_payoff(i, l) <= g.col_payoff(i, j) for l in range(g.n_cols))
-            if row_best and col_best:
-                results.append(
-                    Equilibrium(
-                        row_mix=_unit_mix(g.n_rows, i),
-                        col_mix=_unit_mix(g.n_cols, j),
-                        row_value=g.row_payoff(i, j),
-                        col_value=g.col_payoff(i, j),
-                        kind="pure",
-                    )
-                )
-    return results
+    col_best, row_best = _best_payoffs(g)
+    return [
+        Equilibrium(_unit_mix(g.n_rows, i), _unit_mix(g.n_cols, j), row_payoff, col_payoff, "pure")
+        for i, row in enumerate(g.payoffs)
+        for j, (row_payoff, col_payoff) in enumerate(row)
+        if row_payoff == col_best[j] and col_payoff == row_best[i]
+    ]
 
 
 def mixed_nash_2x2(g: BimatrixGame) -> Equilibrium | None:
@@ -238,28 +241,24 @@ def mixed_nash_2x2(g: BimatrixGame) -> Equilibrium | None:
 
 
 def dominant_strategies(g: BimatrixGame) -> tuple[list[str], list[str]]:
-    """Strictly dominant strategies per player (each list holds at most one name)."""
-    row_dominant = [
-        g.row_labels[i]
-        for i in range(g.n_rows)
-        if all(
-            g.row_payoff(i, j) > g.row_payoff(k, j)
-            for k in range(g.n_rows)
-            if k != i
-            for j in range(g.n_cols)
-        )
-    ]
-    col_dominant = [
-        g.col_labels[j]
-        for j in range(g.n_cols)
-        if all(
-            g.col_payoff(i, j) > g.col_payoff(i, l)
-            for l in range(g.n_cols)
-            if l != j
-            for i in range(g.n_rows)
-        )
-    ]
-    return row_dominant, col_dominant
+    """Strictly dominant strategies per player (each list holds at most one name).
+
+    A strategy is strictly dominant when it is the unique best response
+    against every opposing strategy.
+    """
+    col_best, row_best = _best_payoffs(g)
+    best_rows = {
+        tuple(i for i, (row_payoff, _) in enumerate(column) if row_payoff == best)
+        for column, best in zip(zip(*g.payoffs), col_best)
+    }
+    best_cols = {
+        tuple(j for j, (_, col_payoff) in enumerate(row) if col_payoff == best)
+        for row, best in zip(g.payoffs, row_best)
+    }
+    return (
+        [label for i, label in enumerate(g.row_labels) if best_rows == {(i,)}],
+        [label for j, label in enumerate(g.col_labels) if best_cols == {(j,)}],
+    )
 
 
 def _check_mix(mix: tuple[float, ...], n: int, which: str) -> None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ValidationError, check_number, check_type
+from .errors import ValidationError, check_number
 from .scoring import (
     METRICS, VARIABLE_KEYS, ScoreSet, TraitProfile, disinfection_payoff, disinfection_probability, score_all, severity,
     spreadability_score,
@@ -74,27 +74,15 @@ def compare_profiles(p1: TraitProfile, p2: TraitProfile) -> ProfileComparison:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One variable held fixed; all others walk t over an inclusive range."""
+    """One variable held fixed; all others walk t = 0..100 together."""
 
     fixed_variable: str
     fixed_value: float
-    start: int = 0
-    stop: int = 100
-    step: int = 1
 
     def __post_init__(self) -> None:
         if self.fixed_variable not in VARIABLE_KEYS:
             raise ValidationError(f"fixed_variable must be one of A..I, got {self.fixed_variable!r}")
         check_number(self.fixed_value, "fixed_value", 0, 100)
-        for name in ("start", "stop", "step"):
-            check_type(getattr(self, name), int, name)
-        if self.step < 1:
-            raise ValidationError(f"step must be >= 1, got {self.step}")
-        if not 0 <= self.start <= self.stop <= 100:
-            raise ValidationError(f"range must satisfy 0 <= start <= stop <= 100, got {self.start}..{self.stop}")
-
-    def values(self) -> list[int]:
-        return list(range(self.start, self.stop + 1, self.step))
 
 
 @dataclass(frozen=True)
@@ -124,9 +112,9 @@ def _diagonal_profile(spec: SweepSpec, t: int) -> TraitProfile:
 
 
 def sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the four metrics at every point of the sweep."""
+    """Evaluate the four metrics at every point t = 0..100 of the sweep."""
     rows = []
-    for t in spec.values():
+    for t in range(101):
         p = _diagonal_profile(spec, t)
         scores = ScoreSet(
             sps=spreadability_score(p),

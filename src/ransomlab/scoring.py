@@ -61,12 +61,13 @@ class TraitProfile:
     i: float
 
     def __post_init__(self) -> None:
-        for field in fields(self):
-            check_number(getattr(self, field.name), field.name.upper(), 0, 100)
+        for name, key in _VARIABLES:
+            check_number(getattr(self, name), key, 0, 100)
 
 
-# The variables' document keys, in order: each field's letter, upper-cased.
-VARIABLE_KEYS = tuple(field.name.upper() for field in fields(TraitProfile))
+# Each field's name and its document key (the letter, upper-cased), in field order.
+_VARIABLES = tuple((field.name, field.name.upper()) for field in fields(TraitProfile))
+VARIABLE_KEYS = tuple(key for _, key in _VARIABLES)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ransomlab.errors import ValidationError
 from ransomlab.games import (
@@ -207,6 +209,58 @@ def test_pure_nash_matches_oracle_on_random_games():
     for _ in range(300):
         g = random_game(rng, rng.randint(2, 4), rng.randint(2, 4), integral=rng.random() < 0.5)
         assert pure_profiles(pure_nash(g)) == brute_force_pure_nash(g)
+
+
+def unit_mix(n: int, k: int) -> tuple[float, ...]:
+    return tuple(1.0 if idx == k else 0.0 for idx in range(n))
+
+
+def definitional_pure_nash(g: BimatrixGame) -> list[tuple]:
+    """Oracle: cells where no unilateral deviation pays more, checked against every alternative."""
+    return [
+        (unit_mix(g.n_rows, i), unit_mix(g.n_cols, j), g.row_payoff(i, j), g.col_payoff(i, j), "pure")
+        for i in range(g.n_rows)
+        for j in range(g.n_cols)
+        if all(g.row_payoff(k, j) <= g.row_payoff(i, j) for k in range(g.n_rows))
+        and all(g.col_payoff(i, l) <= g.col_payoff(i, j) for l in range(g.n_cols))
+    ]
+
+
+def definitional_dominant(g: BimatrixGame) -> tuple[list[str], list[str]]:
+    """Oracle: a strategy beats every other one of its player's against every opposing strategy."""
+    rows = [
+        g.row_labels[i]
+        for i in range(g.n_rows)
+        if all(g.row_payoff(i, j) > g.row_payoff(k, j) for k in range(g.n_rows) if k != i for j in range(g.n_cols))
+    ]
+    cols = [
+        g.col_labels[j]
+        for j in range(g.n_cols)
+        if all(g.col_payoff(i, j) > g.col_payoff(i, l) for l in range(g.n_cols) if l != j for i in range(g.n_rows))
+    ]
+    return rows, cols
+
+
+# Small integers tie often; -0.0 and 0.0 compare equal but must each come back as stored.
+tie_heavy_payoffs = st.sampled_from([-2, -1, 0, 1, 2, 0.0, -0.0])
+
+
+@st.composite
+def tie_heavy_games(draw) -> BimatrixGame:
+    n_rows = draw(st.integers(1, 8))
+    n_cols = draw(st.integers(1, 8))
+    cells = st.tuples(tie_heavy_payoffs, tie_heavy_payoffs)
+    payoffs = draw(st.lists(st.lists(cells, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows))
+    return make_game([f"r{i}" for i in range(n_rows)], [f"c{j}" for j in range(n_cols)], payoffs)
+
+
+@settings(max_examples=500, deadline=None)
+@given(g=tie_heavy_games())
+def test_solution_concepts_match_definitional_oracles(g):
+    got = [(eq.row_mix, eq.col_mix, eq.row_value, eq.col_value, eq.kind) for eq in pure_nash(g)]
+    # repr tells -0.0 from 0.0, so each equilibrium value must be its own cell's, sign included.
+    assert repr(got) == repr(definitional_pure_nash(g))
+    assert dominant_strategies(g) == definitional_dominant(g)
 
 
 def test_mixed_nash_passes_deviation_check_on_random_games():

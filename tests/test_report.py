@@ -54,21 +54,12 @@ def test_sweep_spec_validation():
         SweepSpec(fixed_variable="X", fixed_value=10)
     with pytest.raises(ValidationError, match="fixed_value"):
         SweepSpec(fixed_variable="A", fixed_value=120)
-    with pytest.raises(ValidationError, match="step"):
-        SweepSpec(fixed_variable="A", fixed_value=10, step=0)
-    with pytest.raises(ValidationError, match="range"):
-        SweepSpec(fixed_variable="A", fixed_value=10, start=50, stop=10)
 
 
 def test_sweep_full_range_has_101_rows():
     result = sweep(SweepSpec("A", 20))
     assert len(result.rows) == 101
     assert [row.t for row in result.rows[:3]] == [0, 1, 2]
-
-
-def test_sweep_respects_custom_range_and_step():
-    result = sweep(SweepSpec("B", 50, start=10, stop=30, step=5))
-    assert [row.t for row in result.rows] == [10, 15, 20, 25, 30]
 
 
 def test_sweep_a20_spot_values():
@@ -104,15 +95,15 @@ def test_sweep_c90_follows_the_payoff_branches():
 
 
 def test_sweep_floors_g_at_one_on_the_diagonal():
-    result = sweep(SweepSpec("A", 20, start=0, stop=0))
+    result = sweep(SweepSpec("A", 20))
     # At t=0 the diagonal profile would carry G=0; the floor keeps the
     # severity evaluable: S = 0.25*SPS(20, 0) + 0.3*1 = 14 + 0.3.
     assert result.rows[0].scores.severity == pytest.approx(14.3, abs=1e-9)
 
 
 def test_sweep_with_fixed_g_zero_is_floored_too():
-    result = sweep(SweepSpec("G", 0, start=50, stop=50))
-    assert result.rows[0].scores.severity == pytest.approx(0.45 * 50 + 0.25 * 50 + 0.3, abs=1e-9)
+    result = sweep(SweepSpec("G", 0))
+    assert result.rows[50].scores.severity == pytest.approx(0.45 * 50 + 0.25 * 50 + 0.3, abs=1e-9)
 
 
 def test_fixing_b_changes_only_dp():
@@ -125,11 +116,11 @@ def test_fixing_b_changes_only_dp():
 
 
 def test_csv_output_shape_and_determinism(tmp_path):
-    result = sweep(SweepSpec("A", 20, start=0, stop=2))
+    result = sweep(SweepSpec("A", 20))
     text = sweep_csv(result)
     lines = text.splitlines()
     assert lines[0] == "t,SPS,S,DP,DC"
-    assert len(lines) == 4
+    assert len(lines) == 102
     assert lines[1].startswith("0,")
     assert sweep_csv(result) == text
     path = render_csv(result, tmp_path / "out.csv")
@@ -138,8 +129,8 @@ def test_csv_output_shape_and_determinism(tmp_path):
 
 
 def test_csv_formats_four_decimals():
-    result = sweep(SweepSpec("A", 20, start=50, stop=50))
-    line = sweep_csv(result).splitlines()[1]
+    result = sweep(SweepSpec("A", 20))
+    line = sweep_csv(result).splitlines()[51]
     assert line == "50,71.0000,55.2500,45.5000,25.0000"
 
 
@@ -157,6 +148,14 @@ def test_svg_determinism_and_structure(tmp_path):
     # Identical sweeps rendered twice are byte-identical on disk.
     again = render_svg(sweep(SweepSpec("A", 20)), tmp_path / "chart2.svg")
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_svg_of_a_single_point_result_centres_the_point():
+    full = sweep(SweepSpec("A", 20))
+    svg = sweep_svg(SweepResult(spec=full.spec, rows=full.rows[50:51]))
+    assert svg.count("<polyline") == 4
+    assert 'points="350.00,' in svg
+    assert svg.count(">50</text>") == 2  # the y-axis label 50 and the single x tick at t=50
 
 
 def test_rendering_rejects_empty_results(tmp_path):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from ransomlab import strategies as strategies_module
 from ransomlab.cli import main
 from ransomlab.errors import ValidationError, check_keys
-from ransomlab.games import BimatrixGame, game_from_dict, game_to_dict, make_game, ransom_game
+from ransomlab.games import BimatrixGame, Equilibrium, game_from_dict, game_to_dict, make_game, ransom_game
 from ransomlab.ingest import ProfileDocument, parse_profile_document
 from ransomlab.scoring import TraitProfile
 from ransomlab.simnet import CloudStore, Edge, Host, Network, SimConfig, network_from_dict
@@ -130,6 +130,10 @@ BAD_CONSTRUCTIONS = {
     "catalog none strategies": lambda: StrategyCatalog(None),
     "game int row label": lambda: make_game([1], ["c"], [[(0, 0)]]),
     "game none column label": lambda: BimatrixGame(("r",), (None,), (((0.0, 0.0),),)),
+    "game no rows": lambda: make_game([], ["c"], []),
+    "game no columns": lambda: make_game(["a", "b"], [], [[], []]),
+    "game no rows or columns": lambda: BimatrixGame((), (), ()),
+    "equilibrium nan mix": lambda: Equilibrium((math.nan, math.nan), (1.0,), 0.0, 0.0, "pure"),
     "profile document int name": lambda: ProfileDocument(name=5, profile=_PROFILE),
     "ranking nan weight": lambda: rank_strategies(default_catalog(), _PROFILE, (math.nan, 0.5, 0.25, 0.25)),
 }
@@ -175,6 +179,13 @@ def test_bad_game_cells_name_the_cell(cell):
     doc = {"row_labels": ["r0", "r1"], "col_labels": ["c0", "c1"], "payoffs": payoffs}
     with pytest.raises(ValidationError, match=r"\(1, 1\)"):
         game_from_dict(json.loads(json.dumps(doc)))
+
+
+def test_game_document_with_empty_labels_is_rejected():
+    with pytest.raises(ValidationError, match="at least one row and one column"):
+        game_from_dict({"row_labels": [], "col_labels": [], "payoffs": []})
+    with pytest.raises(ValidationError, match="at least one row and one column"):
+        game_from_dict({"row_labels": ["a", "b"], "col_labels": [], "payoffs": [[], []]})
 
 
 def test_game_cells_accept_ints_and_floats_but_not_bools():
