@@ -40,13 +40,23 @@ def check_type(value: object, kind: type, what: str) -> None:
         raise ValidationError(f"{what} must be {name}, got {type(value).__name__}")
 
 
-def check_items(items: object, kind: type[T], what: str, item_what: str) -> tuple[T, ...]:
-    """Return ``items`` as a tuple, rejecting anything but a tuple or list of ``kind`` instances."""
+def check_sequence(items: object, what: str) -> tuple:
+    """Return ``items`` as a tuple, rejecting anything but a tuple or list."""
     if not isinstance(items, (tuple, list)):
         raise ValidationError(f"{what} must be a tuple or list, got {type(items).__name__}")
-    for item in items:
-        check_type(item, kind, item_what)
     return tuple(items)
+
+
+def check_items(items: object, kind: type[T], what: str, item_what: str) -> tuple[T, ...]:
+    """Return ``items`` as a tuple, rejecting anything but a tuple or list of ``kind`` instances.
+
+    A rejected element is named by ``item_what`` and its index.
+    """
+    items = check_sequence(items, what)
+    for k, item in enumerate(items):
+        if type(item) is not kind:  # an exact match passes check_type; only others pay for it
+            check_type(item, kind, f"{item_what} {k}")
+    return items
 
 
 def check_keys(data: object, what: str, required: Collection[str], optional: Collection[str] = ()) -> None:

@@ -19,7 +19,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import ValidationError, check_keys, check_number, check_type
+from .errors import ValidationError, check_items, check_keys, check_number, check_sequence, check_type
 
 __all__ = [
     "BimatrixGame",
@@ -42,6 +42,7 @@ __all__ = [
 Cell = tuple[float, float]
 
 _FLOAT_MAX = sys.float_info.max
+_PLAIN_NUMBERS = (int, float)
 
 
 @dataclass(frozen=True)
@@ -57,34 +58,38 @@ class BimatrixGame:
     payoffs: tuple[tuple[Cell, ...], ...]
 
     def __post_init__(self) -> None:
-        for k, label in enumerate(self.row_labels):
-            check_type(label, str, f"row label {k}")
-        for k, label in enumerate(self.col_labels):
-            check_type(label, str, f"column label {k}")
-        if not self.row_labels or not self.col_labels:
+        row_labels = check_items(self.row_labels, str, "row labels", "row label")
+        col_labels = check_items(self.col_labels, str, "column labels", "column label")
+        rows = check_sequence(self.payoffs, "payoff matrix")
+        if not row_labels or not col_labels:
             raise ValidationError("a game needs at least one row and one column")
-        if len(self.payoffs) != len(self.row_labels):
-            raise ValidationError(
-                f"payoff matrix has {len(self.payoffs)} rows, expected {len(self.row_labels)}"
-            )
+        if len(rows) != len(row_labels):
+            raise ValidationError(f"payoff matrix has {len(rows)} rows, expected {len(row_labels)}")
         payoffs = []
-        for i, row in enumerate(self.payoffs):
-            if not isinstance(row, (list, tuple)):
-                raise ValidationError(f"payoff row {i} must be a list")
-            if len(row) != len(self.col_labels):
-                raise ValidationError(
-                    f"payoff row {i} has {len(row)} cells, expected {len(self.col_labels)}"
-                )
+        for i, row in enumerate(rows):
+            row = check_sequence(row, f"payoff row {i}")
+            if len(row) != len(col_labels):
+                raise ValidationError(f"payoff row {i} has {len(row)} cells, expected {len(col_labels)}")
             cells = []
             for j, cell in enumerate(row):
                 if not (isinstance(cell, (list, tuple)) and len(cell) == 2):
                     raise ValidationError(f"payoff cell ({i}, {j}) must be a [row, col] pair")
-                what = f"payoff cell ({i}, {j})"
-                check_number(cell[0], what, -_FLOAT_MAX, _FLOAT_MAX)
-                check_number(cell[1], what, -_FLOAT_MAX, _FLOAT_MAX)
-                cells.append((float(cell[0]), float(cell[1])))
+                x, y = cell
+                # A plain int or float within float range passes check_number, so only other values
+                # pay for the two calls; they raise its messages.
+                if not (
+                    type(x) in _PLAIN_NUMBERS and type(y) in _PLAIN_NUMBERS
+                    and -_FLOAT_MAX <= x <= _FLOAT_MAX and -_FLOAT_MAX <= y <= _FLOAT_MAX
+                ):
+                    what = f"payoff cell ({i}, {j})"
+                    check_number(x, what, -_FLOAT_MAX, _FLOAT_MAX)
+                    check_number(y, what, -_FLOAT_MAX, _FLOAT_MAX)
+                cells.append((float(x), float(y)))
             payoffs.append(tuple(cells))
-        object.__setattr__(self, "payoffs", tuple(payoffs))  # frozen: store the normalized form
+        # frozen: store the normalized form
+        object.__setattr__(self, "row_labels", row_labels)
+        object.__setattr__(self, "col_labels", col_labels)
+        object.__setattr__(self, "payoffs", tuple(payoffs))
 
     @property
     def n_rows(self) -> int:
@@ -114,8 +119,12 @@ class Equilibrium:
     def __post_init__(self) -> None:
         if self.kind not in ("pure", "mixed"):
             raise ValidationError(f"equilibrium kind must be 'pure' or 'mixed', got {self.kind!r}")
-        _check_mix(self.row_mix, len(self.row_mix), "row")
-        _check_mix(self.col_mix, len(self.col_mix), "column")
+        row_mix = _check_mix(self.row_mix, None, "row")
+        col_mix = _check_mix(self.col_mix, None, "column")
+        check_number(self.row_value, "row value", -_FLOAT_MAX, _FLOAT_MAX)
+        check_number(self.col_value, "column value", -_FLOAT_MAX, _FLOAT_MAX)
+        object.__setattr__(self, "row_mix", row_mix)  # frozen: store tuples
+        object.__setattr__(self, "col_mix", col_mix)
 
 
 def make_game(
@@ -187,7 +196,7 @@ def snowdrift_game(b: float, c: float) -> BimatrixGame:
 
 
 def _unit_mix(n: int, k: int) -> tuple[float, ...]:
-    return tuple(1.0 if idx == k else 0.0 for idx in range(n))
+    return (0.0,) * k + (1.0,) + (0.0,) * (n - k - 1)
 
 
 def _best_payoffs(g: BimatrixGame) -> tuple[list[float], list[float]]:
@@ -261,23 +270,25 @@ def dominant_strategies(g: BimatrixGame) -> tuple[list[str], list[str]]:
     )
 
 
-def _check_mix(mix: tuple[float, ...], n: int, which: str) -> None:
-    if len(mix) != n:
+def _check_mix(mix: object, n: int | None, which: str) -> tuple[float, ...]:
+    """Return ``mix`` as a tuple of ``n`` (any number when None) finite nonnegative weights summing to 1."""
+    mix = check_sequence(mix, f"{which} mix")
+    if n is not None and len(mix) != n:
         raise ValidationError(f"{which} mix has length {len(mix)}, expected {n}")
-    if any(x < 0 or not math.isfinite(x) for x in mix):
-        raise ValidationError(f"{which} mix must be nonnegative and finite")
+    for x in mix:
+        if not (type(x) in _PLAIN_NUMBERS and 0 <= x <= _FLOAT_MAX):  # as for cells: only others pay for the call
+            check_number(x, f"{which} mix entry", 0, _FLOAT_MAX)
     if abs(sum(mix) - 1.0) > 1e-9:
         raise ValidationError(f"{which} mix must sum to 1, got {sum(mix)}")
+    return mix
 
 
 def expected_payoffs(
     g: BimatrixGame, row_mix: tuple[float, ...], col_mix: tuple[float, ...]
 ) -> tuple[float, float]:
     """Bilinear expected payoff for each player under the given mixes."""
-    row_mix = tuple(row_mix)
-    col_mix = tuple(col_mix)
-    _check_mix(row_mix, g.n_rows, "row")
-    _check_mix(col_mix, g.n_cols, "column")
+    row_mix = _check_mix(row_mix, g.n_rows, "row")
+    col_mix = _check_mix(col_mix, g.n_cols, "column")
     row_value = 0.0
     col_value = 0.0
     for i, pi in enumerate(row_mix):
@@ -305,8 +316,7 @@ def replicator_step(g: BimatrixGame, pop: tuple[float, ...], dt: float) -> tuple
         for j in range(g.n_cols):
             if g.row_payoff(i, j) != g.col_payoff(j, i):
                 raise ValidationError("replicator_step requires a symmetric game")
-    pop = tuple(pop)
-    _check_mix(pop, g.n_rows, "population")
+    pop = _check_mix(pop, g.n_rows, "population")
     if not (dt > 0 and math.isfinite(dt)):
         raise ValidationError(f"dt must be positive and finite, got {dt}")
 

@@ -11,8 +11,17 @@ the score charts display: one curve per metric). The emitted columns are:
   fixed A into DC through the spreadability term, and the DC curve is
   defined to be identical across A choices.
 
-G is floored at 1 wherever the constructed profile would carry G = 0, so
-the severity precondition holds at every sweep point.
+G is floored at 1 wherever the diagonal profile would carry G = 0, so the
+severity precondition holds at every sweep point.
+
+A sweep is evaluated by column. Each variable is one 101-entry column (the
+diagonal t, or the fixed value), and each score formula from
+:mod:`ransomlab.scoring` is mapped over those columns. The
+:class:`SweepSpec` is the only input and is validated on construction;
+every point derived from it lies in [0, 100] by construction, so no
+per-point :class:`~ransomlab.scoring.TraitProfile` is built. The formulas
+are the functions the profile scores delegate to, so each row equals the
+scores of its diagonal profile exactly.
 
 Rendering is deterministic: fixed four-decimal CSV (LF line endings) and a
 hand-assembled 800x600 SVG with one polyline per metric; identical results
@@ -24,10 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ValidationError, check_number
+from .errors import ValidationError, check_items, check_number, check_type
 from .scoring import (
-    METRICS, VARIABLE_KEYS, ScoreSet, TraitProfile, disinfection_payoff, disinfection_probability, score_all, severity,
-    spreadability_score,
+    METRICS, VARIABLE_KEYS, ScoreSet, TraitProfile, disinfection_payoff_of, disinfection_probability_of, score_all,
+    severity_of, spreadability_of,
 )
 
 __all__ = [
@@ -96,6 +105,11 @@ class SweepResult:
     spec: SweepSpec
     rows: tuple[SweepRow, ...] = field(default_factory=tuple)
 
+    def __post_init__(self) -> None:
+        check_type(self.spec, SweepSpec, "sweep spec")
+        rows = check_items(self.rows, SweepRow, "sweep rows", "sweep row")
+        object.__setattr__(self, "rows", rows)  # frozen: store a tuple
+
     def column(self, metric: str) -> list[float]:
         attr = METRICS.get(metric)
         if attr is None:
@@ -103,27 +117,30 @@ class SweepResult:
         return [getattr(row.scores, attr) for row in self.rows]
 
 
-def _diagonal_profile(spec: SweepSpec, t: int) -> TraitProfile:
-    values = dict.fromkeys(VARIABLE_KEYS, float(t))
-    values[spec.fixed_variable] = float(spec.fixed_value)
-    if values["G"] == 0.0:
-        values["G"] = 1.0
-    return TraitProfile(*values.values())
+_POINTS = range(101)
+_DIAGONAL = tuple(map(float, _POINTS))
 
 
 def sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the four metrics at every point t = 0..100 of the sweep."""
-    rows = []
-    for t in range(101):
-        p = _diagonal_profile(spec, t)
-        scores = ScoreSet(
-            sps=spreadability_score(p),
-            severity=severity(p),
-            disinfection_probability=disinfection_probability(p),
-            disinfection_payoff=disinfection_payoff(p.c, float(t)),
-        )
-        rows.append(SweepRow(t=t, scores=scores))
-    return SweepResult(spec=spec, rows=tuple(rows))
+    """Evaluate the four metrics at every point t = 0..100 of the sweep.
+
+    Each variable is a column over t: the diagonal itself, or the fixed
+    value at every point, with G floored at 1. Each score formula is mapped
+    over those columns once.
+    """
+    columns = dict.fromkeys(VARIABLE_KEYS, _DIAGONAL)
+    columns[spec.fixed_variable] = (float(spec.fixed_value),) * len(_POINTS)
+    columns["G"] = tuple(1.0 if g == 0.0 else g for g in columns["G"])
+    a, b, c, _, e, f, g, h, i = columns.values()
+    sps = tuple(map(spreadability_of, a, f))
+    scores = map(
+        ScoreSet,
+        sps,
+        map(severity_of, c, e, f, sps, g),
+        map(disinfection_probability_of, a, b, e, f, h, i),
+        map(disinfection_payoff_of, c, _DIAGONAL),
+    )
+    return SweepResult(spec=spec, rows=tuple(map(SweepRow, _POINTS, scores)))
 
 
 _CSV_HEADER = ",".join(("t", *METRICS))
@@ -161,15 +178,17 @@ _SERIES_COLORS = {
 }
 
 
-def _x_position(t: float, t_min: float, t_max: float) -> float:
+def _x_positions(ts: list[float], t_min: float, t_max: float) -> list[float]:
     span = t_max - t_min
     if span == 0:
-        return (_PLOT_LEFT + _PLOT_RIGHT) / 2.0
-    return _PLOT_LEFT + (t - t_min) / span * (_PLOT_RIGHT - _PLOT_LEFT)
+        return [(_PLOT_LEFT + _PLOT_RIGHT) / 2.0] * len(ts)
+    width = _PLOT_RIGHT - _PLOT_LEFT
+    return [_PLOT_LEFT + (t - t_min) / span * width for t in ts]
 
 
-def _y_position(score: float) -> float:
-    return _PLOT_BOTTOM - score / 100.0 * (_PLOT_BOTTOM - _PLOT_TOP)
+def _y_positions(scores: list[float]) -> list[float]:
+    height = _PLOT_BOTTOM - _PLOT_TOP
+    return [_PLOT_BOTTOM - score / 100.0 * height for score in scores]
 
 
 def sweep_svg(result: SweepResult) -> str:
@@ -192,8 +211,8 @@ def sweep_svg(result: SweepResult) -> str:
         f'font-family="sans-serif">{spec.fixed_variable}={_format_value(spec.fixed_value)}</text>',
     ]
 
-    for score in (0, 25, 50, 75, 100):
-        y = _y_position(score)
+    grid_scores = (0, 25, 50, 75, 100)
+    for score, y in zip(grid_scores, _y_positions(grid_scores)):
         parts.append(
             f'<line x1="{_PLOT_LEFT:.2f}" y1="{y:.2f}" x2="{_PLOT_RIGHT:.2f}" y2="{y:.2f}" '
             'stroke="#dddddd" stroke-width="1"/>'
@@ -204,9 +223,8 @@ def sweep_svg(result: SweepResult) -> str:
         )
 
     tick_count = 5 if t_max > t_min else 1
-    for k in range(tick_count):
-        t = t_min + (t_max - t_min) * k / max(1, tick_count - 1)
-        x = _x_position(t, t_min, t_max)
+    ticks = [t_min + (t_max - t_min) * k / max(1, tick_count - 1) for k in range(tick_count)]
+    for t, x in zip(ticks, _x_positions(ticks, t_min, t_max)):
         parts.append(
             f'<line x1="{x:.2f}" y1="{_PLOT_BOTTOM:.2f}" x2="{x:.2f}" y2="{_PLOT_BOTTOM + 5:.2f}" '
             'stroke="#333333" stroke-width="1"/>'
@@ -233,13 +251,12 @@ def sweep_svg(result: SweepResult) -> str:
         f'font-family="sans-serif" transform="rotate(-90 20 {(_PLOT_TOP + _PLOT_BOTTOM) / 2:.2f})">score</text>'
     )
 
+    # One points template for the four series: each x is formatted once, each series fills in its y column.
+    points = " ".join(f"{x:.2f},%.2f" for x in _x_positions([row.t for row in result.rows], t_min, t_max))
     for metric in METRICS:
         color = _SERIES_COLORS[metric]
-        points = " ".join(
-            f"{_x_position(row.t, t_min, t_max):.2f},{_y_position(value):.2f}"
-            for row, value in zip(result.rows, result.column(metric))
-        )
-        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{points}"/>')
+        ys = tuple(_y_positions(result.column(metric)))
+        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{points % ys}"/>')
 
     legend_x = _PLOT_RIGHT + 20.0
     for idx, metric in enumerate(METRICS):

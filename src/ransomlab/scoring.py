@@ -11,6 +11,13 @@ are derived from them, all on the same 0-100 scale:
 * disinfection payoff DC, a branching function of criticality and severity
   (see :func:`disinfection_payoff`).
 
+Each formula is written once, as a function of plain numbers
+(:func:`spreadability_of`, :func:`severity_of`,
+:func:`disinfection_probability_of`, :func:`disinfection_payoff_of`). The
+profile functions delegate to them after their checks, and the report's
+sweep maps them over whole columns, so both run the same float operations
+in the same order.
+
 All functions are pure and thread-safe. Out-of-range inputs raise
 :class:`ValidationError`; nothing is clamped silently.
 """
@@ -32,6 +39,10 @@ __all__ = [
     "disinfection_probability",
     "disinfection_payoff",
     "score_all",
+    "spreadability_of",
+    "severity_of",
+    "disinfection_probability_of",
+    "disinfection_payoff_of",
 ]
 
 
@@ -89,9 +100,37 @@ METRICS = {"SPS": "sps", "S": "severity", "DP": "disinfection_probability", "DC"
 _metric_values = attrgetter(*METRICS.values())
 
 
+def spreadability_of(a: float, f: float) -> float:
+    """``0.7 * (100 - A) + 0.3 * F`` on plain numbers."""
+    return 0.7 * (100.0 - a) + 0.3 * f
+
+
+def severity_of(c: float, e: float, f: float, sps: float, g: float) -> float:
+    """``0.1*C + 0.25*E + 0.1*F + 0.25*SPS + 0.3*G`` on plain numbers; the caller ensures G > 0."""
+    return 0.1 * c + 0.25 * e + 0.1 * f + 0.25 * sps + 0.3 * g
+
+
+def disinfection_probability_of(a: float, b: float, e: float, f: float, h: float, i: float) -> float:
+    """The disinfection-probability weighted sum on plain numbers."""
+    return 0.15 * a + 0.2 * b + 0.1 * (100.0 - e) + 0.15 * (100.0 - f) + 0.3 * h + 0.1 * i
+
+
+def disinfection_payoff_of(c: float, s: float) -> float:
+    """The disinfection-payoff branches on plain 0-100 numbers (see :func:`disinfection_payoff`)."""
+    ch = c / 100.0
+    sh = s / 100.0
+    if ch <= 0.2 or sh < 0.2:
+        return 0.0
+    if ch > 0.8:
+        return 100.0 * ch
+    if sh <= 0.8:
+        return 100.0 * ch * sh
+    return 100.0 * ch
+
+
 def spreadability_score(p: TraitProfile) -> float:
     """Spreadability score: ``0.7 * (100 - A) + 0.3 * F``."""
-    return 0.7 * (100.0 - p.a) + 0.3 * p.f
+    return spreadability_of(p.a, p.f)
 
 
 def severity(p: TraitProfile) -> float:
@@ -103,19 +142,12 @@ def severity(p: TraitProfile) -> float:
     """
     if p.g <= 0:
         raise ValidationError(f"severity requires G > 0, got {p.g}")
-    return 0.1 * p.c + 0.25 * p.e + 0.1 * p.f + 0.25 * spreadability_score(p) + 0.3 * p.g
+    return severity_of(p.c, p.e, p.f, spreadability_of(p.a, p.f), p.g)
 
 
 def disinfection_probability(p: TraitProfile) -> float:
     """Probability of a successful cleanup, per the weighted-sum model."""
-    return (
-        0.15 * p.a
-        + 0.2 * p.b
-        + 0.1 * (100.0 - p.e)
-        + 0.15 * (100.0 - p.f)
-        + 0.3 * p.h
-        + 0.1 * p.i
-    )
+    return disinfection_probability_of(p.a, p.b, p.e, p.f, p.h, p.i)
 
 
 def disinfection_payoff(c: float, s: float) -> float:
@@ -134,15 +166,7 @@ def disinfection_payoff(c: float, s: float) -> float:
     """
     check_number(c, "C", 0, 100)
     check_number(s, "S", 0, 100)
-    ch = c / 100.0
-    sh = s / 100.0
-    if ch <= 0.2 or sh < 0.2:
-        return 0.0
-    if ch > 0.8:
-        return 100.0 * ch
-    if sh <= 0.8:
-        return 100.0 * ch * sh
-    return 100.0 * ch
+    return disinfection_payoff_of(c, s)
 
 
 def score_all(p: TraitProfile) -> ScoreSet:

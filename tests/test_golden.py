@@ -1,8 +1,10 @@
 """Golden sha256 digests of the sweep files and the score/compare output.
 
-The digests were recorded from the implementation before sweep rows carried
-a ``ScoreSet``; any byte change to the CSV, the SVG or the CLI lines fails
-here, not only a change in shape or in a four-decimal spot value.
+The A=20 and C=90 digests were recorded from the implementation before sweep
+rows carried a ``ScoreSet``, and the G=0 and I=55.5 digests from the
+profile-per-point sweep before it became column-wise; any byte change to the
+CSV, the SVG or the CLI lines fails here, not only a change in shape or in a
+four-decimal spot value.
 """
 
 from __future__ import annotations
@@ -22,6 +24,14 @@ SWEEP_DIGESTS = {
     ("C", 90.0): (
         "a42390a9cd9b21987411667f0e2e815938a45a6841f1b9e6aa75cfec2afe2aa9",
         "ac95069ef919fda970ec36b0cccba16f316b45052c753f23615f324e6c3dc182",
+    ),
+    ("G", 0.0): (
+        "26c00b9e27144d41bec01fda8c2ea5a90063f13380c8e53b2384e028a45fd84b",
+        "61e2c42363e13321d5ca8af7cb38b2cb11ad59cb109ceff4bc49c3e432fa612d",
+    ),
+    ("I", 55.5): (
+        "5ddd56299636325a5002f0c61c19d3d654f378a0fa355fee02cfadcf3ec9c15c",
+        "2276c3f20aff8ff7674e321af44c60cad77ddd203ea514b579856d6b4bd08061",
     ),
 }
 

@@ -3,6 +3,8 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ransomlab.errors import ValidationError
 from ransomlab.report import (
@@ -14,6 +16,9 @@ from ransomlab.report import (
     sweep,
     sweep_csv,
     sweep_svg,
+)
+from ransomlab.scoring import (
+    VARIABLE_KEYS, ScoreSet, TraitProfile, disinfection_payoff, disinfection_probability, severity, spreadability_score,
 )
 
 # Spot values below are frozen from hand evaluation of the weighted sums on
@@ -104,6 +109,26 @@ def test_sweep_floors_g_at_one_on_the_diagonal():
 def test_sweep_with_fixed_g_zero_is_floored_too():
     result = sweep(SweepSpec("G", 0))
     assert result.rows[50].scores.severity == pytest.approx(0.45 * 50 + 0.25 * 50 + 0.3, abs=1e-9)
+
+
+fixed_values = st.floats(0, 100) | st.sampled_from([0, 0.0, -0.0, 100, 100.0, 5e-324]) | st.integers(0, 100)
+
+
+@settings(max_examples=150, deadline=None)
+@given(variable=st.sampled_from(VARIABLE_KEYS), value=fixed_values)
+def test_sweep_rows_match_the_scores_of_each_diagonal_profile(variable, value):
+    rows = sweep(SweepSpec(variable, value)).rows
+    assert [row.t for row in rows] == list(range(101))
+    for row in rows:
+        t = row.t
+        values = {key: float(value) if key == variable else float(t) for key in VARIABLE_KEYS}
+        if values["G"] == 0.0:
+            values["G"] = 1.0
+        p = TraitProfile(**{key.lower(): x for key, x in values.items()})  # every point is a valid profile
+        expected = ScoreSet(
+            spreadability_score(p), severity(p), disinfection_probability(p), disinfection_payoff(p.c, t)
+        )
+        assert repr(row.scores) == repr(expected)
 
 
 def test_fixing_b_changes_only_dp():

@@ -16,8 +16,11 @@ from hypothesis import strategies as st
 from ransomlab import strategies as strategies_module
 from ransomlab.cli import main
 from ransomlab.errors import ValidationError, check_keys
-from ransomlab.games import BimatrixGame, Equilibrium, game_from_dict, game_to_dict, make_game, ransom_game
+from ransomlab.games import (
+    BimatrixGame, Equilibrium, expected_payoffs, game_from_dict, game_to_dict, make_game, ransom_game,
+)
 from ransomlab.ingest import ProfileDocument, parse_profile_document
+from ransomlab.report import SweepResult, SweepSpec, sweep, sweep_csv
 from ransomlab.scoring import TraitProfile
 from ransomlab.simnet import CloudStore, Edge, Host, Network, SimConfig, network_from_dict
 from ransomlab.strategies import (
@@ -133,7 +136,20 @@ BAD_CONSTRUCTIONS = {
     "game no rows": lambda: make_game([], ["c"], []),
     "game no columns": lambda: make_game(["a", "b"], [], [[], []]),
     "game no rows or columns": lambda: BimatrixGame((), (), ()),
+    "game none row labels": lambda: BimatrixGame(None, ("c",), (((0, 0),),)),
+    "game none payoffs": lambda: BimatrixGame(("r",), ("c",), None),
+    "game string labels": lambda: BimatrixGame("rc", "c", [[(0, 0)], [(0, 0)]]),
+    "game none payoff row": lambda: BimatrixGame(("r",), ("c",), (None,)),
     "equilibrium nan mix": lambda: Equilibrium((math.nan, math.nan), (1.0,), 0.0, 0.0, "pure"),
+    "equilibrium string mix entry": lambda: Equilibrium(("a",), (1.0,), 0.0, 0.0, "pure"),
+    "equilibrium none mix": lambda: Equilibrium(None, (1.0,), 0.0, 0.0, "pure"),
+    "equilibrium nan value": lambda: Equilibrium((1.0,), (1.0,), math.nan, 0.0, "pure"),
+    "equilibrium string value": lambda: Equilibrium((1.0,), (1.0,), 0.0, "1", "pure"),
+    "expected payoffs none mix": lambda: expected_payoffs(ransom_game(), None, (0.5, 0.5)),
+    "expected payoffs string mix": lambda: expected_payoffs(ransom_game(), ("a", "b"), (0.5, 0.5)),
+    "sweep result int row": lambda: sweep_csv(SweepResult(SweepSpec("A", 20), rows=(1,))),
+    "sweep result none rows": lambda: SweepResult(SweepSpec("A", 20), rows=None),
+    "sweep result none spec": lambda: SweepResult(None),
     "profile document int name": lambda: ProfileDocument(name=5, profile=_PROFILE),
     "ranking nan weight": lambda: rank_strategies(default_catalog(), _PROFILE, (math.nan, 0.5, 0.25, 0.25)),
 }
@@ -147,6 +163,8 @@ def test_constructors_reject_bad_fields(build):
 
 def test_list_built_values_equal_and_hash_like_tuple_built():
     step = Step(description="scan", complexity=1)
+    spec = SweepSpec("A", 20)
+    rows = sweep(spec).rows[:2]
 
     def strategy(steps):
         return Strategy(name="x", steps=steps, overall_complexity=1, effectiveness=Level.LOW, reinfection_risk=Level.LOW)
@@ -155,6 +173,9 @@ def test_list_built_values_equal_and_hash_like_tuple_built():
         (Network(hosts=[Host(id=0)], clouds=[], edges=[]), Network(hosts=(Host(id=0),), clouds=(), edges=())),
         (strategy([step]), strategy((step,))),
         (StrategyCatalog([strategy([step])]), StrategyCatalog((strategy((step,)),))),
+        (BimatrixGame(["r"], ["c"], [[[1, 2]]]), BimatrixGame(("r",), ("c",), (((1.0, 2.0),),))),
+        (Equilibrium([1.0], [1.0], 0.0, 0.0, "pure"), Equilibrium((1.0,), (1.0,), 0.0, 0.0, "pure")),
+        (SweepResult(spec, list(rows)), SweepResult(spec, rows)),
     ]
     for from_lists, from_tuples in pairs:
         assert from_lists == from_tuples
@@ -168,6 +189,8 @@ BAD_CELLS = {
     "not a pair": 5,
     "beyond float range": (10**400, 0),
     "bool": (True, 0),
+    "nan": (0, math.nan),
+    "infinity": (-math.inf, 0),
 }
 
 
@@ -194,6 +217,11 @@ def test_game_cells_accept_ints_and_floats_but_not_bools():
     assert make_game(["r"], ["c"], [[(1, 2.5)]]).payoffs == (((1.0, 2.5),),)
     with pytest.raises(ValidationError, match=r"\(0, 0\)"):
         BimatrixGame(("r",), ("c",), (((False, 2.5),),))
+
+    class Payoff(float):
+        pass
+
+    assert BimatrixGame(("r",), ("c",), (((Payoff(1.5), 2),),)).payoffs == (((1.5, 2.0),),)
 
 
 # -- shared helper and catalog -------------------------------------------------
