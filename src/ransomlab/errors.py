@@ -1,9 +1,12 @@
-"""Shared exception type and the field checks every layer builds on."""
+"""Shared exception type, the field checks every layer builds on, and the network, catalog and game document codec."""
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import re
 from enum import Enum
-from typing import Collection, TypeVar
+from typing import Collection, TypeVar, get_args, get_origin, get_type_hints
 
 EnumT = TypeVar("EnumT", bound=Enum)
 T = TypeVar("T")
@@ -78,3 +81,55 @@ def check_enum(value: object, kind: type[EnumT], what: str) -> EnumT:
     except ValueError:
         allowed = "/".join(member.value for member in kind)
         raise ValidationError(f"{what} must be one of {allowed}, got {value!r}") from None
+
+
+@functools.cache
+def _schema(kind: type) -> tuple:
+    """A dataclass's required keys as a dict, optional keys (``X | None = None`` fields: no reader) and readers."""
+    hints, fields = get_type_hints(kind), dataclasses.fields(kind)
+    readers = []
+    for f in fields:
+        hint = hints[f.name]
+        if get_origin(hint) is tuple:
+            item = get_args(hint)[0]
+            readers.append((f.name, None, item if dataclasses.is_dataclass(item) else None))
+        elif isinstance(hint, type) and issubclass(hint, Enum):
+            readers.append((f.name, hint, None))
+    optional = tuple(f.name for f in fields if f.default is None)
+    return dict.fromkeys(f.name for f in fields if f.name not in optional), optional, tuple(readers)
+
+
+def from_dict(kind: type[T], data: object, what: str, nested: bool = False) -> T:
+    """Build a ``kind`` from its JSON document, keyed by field name: enums by value, tuples from lists.
+
+    The constructor checks every value. Messages name a field by key (``'hosts'``), or after its ``nested``
+    element (``host 0 state``); an element by its parents, its class's first word and index (``cloud 0``).
+    """
+    required, optional, readers = _schema(kind)
+    if type(data) is not dict or data.keys() != required.keys():  # exactly the required keys pass check_keys
+        check_keys(data, what, required, optional)
+    if not readers:
+        return kind(**data)
+    args = dict(data)
+    for name, enum, item in readers:
+        label = f"{what} {name}" if nested else f"'{name}'"
+        if enum is not None:
+            args[name] = check_enum(args[name], enum, label)
+        else:
+            check_type(args[name], list, label)
+        if item is not None:
+            lead = (f"{what} " if nested else "") + re.match("[A-Z][a-z]*", item.__name__)[0].lower()
+            args[name] = tuple([from_dict(item, x, f"{lead} {k}", True) for k, x in enumerate(args[name])])
+    return kind(**args)
+
+
+def to_dict(value: object) -> dict:
+    """The document :func:`from_dict` reads back as ``value``; optional fields holding None are left out."""
+    fields = ((f, getattr(value, f.name)) for f in dataclasses.fields(value))
+    return {f.name: _to_json(x) for f, x in fields if x is not None or f.default is not None}
+
+
+def _to_json(value: object) -> object:
+    if isinstance(value, tuple):
+        return [_to_json(x) for x in value]
+    return value.value if isinstance(value, Enum) else to_dict(value) if dataclasses.is_dataclass(value) else value

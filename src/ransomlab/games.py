@@ -8,23 +8,20 @@ dominance read best responses: each column's best row payoff and each
 row's best column payoff, computed once per game.
 
 Everything operates on immutable, non-empty :class:`BimatrixGame` values
-(at least one row and one column) and is thread-safe. Games serialize
-to/from JSON documents of the form
-``{"row_labels": [...], "col_labels": [...], "payoffs": [[[r, c], ...], ...]}``.
+(at least one row and one column) and is thread-safe. A game document is
+keyed by the :class:`BimatrixGame` field names; payoff cells are ``[r, c]``.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 
-from .errors import ValidationError, check_items, check_keys, check_number, check_sequence, check_type
+from .errors import ValidationError, check_items, check_number, check_sequence, from_dict, to_dict
 
 __all__ = [
     "BimatrixGame",
     "Equilibrium",
-    "make_game",
     "ransom_game",
     "pd_game",
     "snowdrift_game",
@@ -127,15 +124,6 @@ class Equilibrium:
         object.__setattr__(self, "col_mix", col_mix)
 
 
-def make_game(
-    row_labels: list[str] | tuple[str, ...],
-    col_labels: list[str] | tuple[str, ...],
-    payoffs: list[list[tuple[float, float]]],
-) -> BimatrixGame:
-    """Build a game from plain lists, normalizing to the immutable form."""
-    return BimatrixGame(row_labels=tuple(row_labels), col_labels=tuple(col_labels), payoffs=tuple(payoffs))
-
-
 # Ransom game cell order (row-major): (NotPay, Decrypt), (NotPay, NotDecrypt),
 # (Pay, Decrypt), (Pay, NotDecrypt). Only two cells are anchored by the model:
 # the user gets 100 when the attack is defeated without paying, and loses
@@ -155,11 +143,11 @@ def ransom_game(
 
     Payoff quadruples are row-major over the four cells.
     """
-    if len(user_payoffs) != 4 or len(virus_payoffs) != 4:
+    u = check_sequence(user_payoffs, "ransom user payoffs")
+    v = check_sequence(virus_payoffs, "ransom virus payoffs")
+    if len(u) != 4 or len(v) != 4:
         raise ValidationError("ransom_game expects 4 user payoffs and 4 virus payoffs")
-    u = user_payoffs
-    v = virus_payoffs
-    return make_game(
+    return BimatrixGame(
         ["NotPay", "Pay"],
         ["Decrypt", "NotDecrypt"],
         [[(u[0], v[0]), (u[1], v[1])], [(u[2], v[2]), (u[3], v[3])]],
@@ -171,9 +159,11 @@ def pd_game(t: float, r: float, p: float, s: float) -> BimatrixGame:
 
     Requires the canonical ordering T > R > P > S.
     """
+    for name, x in zip("TRPS", (t, r, p, s)):
+        check_number(x, f"prisoner's dilemma {name}", -_FLOAT_MAX, _FLOAT_MAX)
     if not (t > r > p > s):
         raise ValidationError(f"prisoner's dilemma requires T > R > P > S, got ({t}, {r}, {p}, {s})")
-    return make_game(
+    return BimatrixGame(
         ["Cooperate", "Defect"],
         ["Cooperate", "Defect"],
         [[(r, r), (s, t)], [(t, s), (p, p)]],
@@ -186,9 +176,11 @@ def snowdrift_game(b: float, c: float) -> BimatrixGame:
     Cooperators split the cost: (b - c/2) each when both shovel, (b - c) for a
     lone shoveler whose free-riding partner gets b, and 0 for mutual defection.
     """
+    check_number(b, "snowdrift b", -_FLOAT_MAX, _FLOAT_MAX)
+    check_number(c, "snowdrift c", -_FLOAT_MAX, _FLOAT_MAX)
     if not (b > c > 0):
         raise ValidationError(f"snowdrift requires b > c > 0, got (b={b}, c={c})")
-    return make_game(
+    return BimatrixGame(
         ["Cooperate", "Defect"],
         ["Cooperate", "Defect"],
         [[(b - c / 2.0, b - c / 2.0), (b - c, b)], [(b, b - c), (0.0, 0.0)]],
@@ -317,7 +309,8 @@ def replicator_step(g: BimatrixGame, pop: tuple[float, ...], dt: float) -> tuple
             if g.row_payoff(i, j) != g.col_payoff(j, i):
                 raise ValidationError("replicator_step requires a symmetric game")
     pop = _check_mix(pop, g.n_rows, "population")
-    if not (dt > 0 and math.isfinite(dt)):
+    check_number(dt, "dt", -_FLOAT_MAX, _FLOAT_MAX)
+    if not dt > 0:
         raise ValidationError(f"dt must be positive and finite, got {dt}")
 
     fitness = [sum(g.row_payoff(i, j) * pop[j] for j in range(g.n_rows)) for i in range(g.n_rows)]
@@ -331,16 +324,9 @@ def replicator_step(g: BimatrixGame, pop: tuple[float, ...], dt: float) -> tuple
 
 def game_to_dict(g: BimatrixGame) -> dict:
     """JSON-ready document for a game."""
-    return {
-        "row_labels": list(g.row_labels),
-        "col_labels": list(g.col_labels),
-        "payoffs": [[[rp, cp] for rp, cp in row] for row in g.payoffs],
-    }
+    return to_dict(g)
 
 
 def game_from_dict(data: dict) -> BimatrixGame:
     """Parse and validate a game document produced by :func:`game_to_dict`."""
-    check_keys(data, "game document", ("row_labels", "col_labels", "payoffs"))
-    for key in ("row_labels", "col_labels", "payoffs"):
-        check_type(data[key], list, f"'{key}'")
-    return make_game(data["row_labels"], data["col_labels"], data["payoffs"])
+    return from_dict(BimatrixGame, data, "game document")

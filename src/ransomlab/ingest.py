@@ -43,6 +43,7 @@ class ProfileDocument:
 
     def __post_init__(self) -> None:
         check_type(self.name, str, "'name'")
+        check_type(self.profile, TraitProfile, "profile")
 
 
 def parse_profile_document(data: dict) -> ProfileDocument:

@@ -99,6 +99,11 @@ class SweepRow:
     t: int
     scores: ScoreSet
 
+    def __post_init__(self) -> None:
+        if type(self.t) is not int or type(self.scores) is not ScoreSet:  # exact types skip the calls
+            check_type(self.t, int, "sweep row t")
+            check_type(self.scores, ScoreSet, "sweep row scores")
+
 
 @dataclass(frozen=True)
 class SweepResult:

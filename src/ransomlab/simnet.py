@@ -35,7 +35,7 @@ import random
 from dataclasses import dataclass, replace
 from itertools import repeat, starmap
 
-from .errors import ValidationError, check_enum, check_items, check_keys, check_number, check_type
+from .errors import ValidationError, check_items, check_number, check_type, from_dict, to_dict
 
 __all__ = [
     "HostState",
@@ -364,42 +364,9 @@ def trajectory_csv(traj: Trajectory) -> str:
 
 def network_to_dict(net: Network) -> dict:
     """JSON-ready document for a network."""
-    return {
-        "hosts": [
-            {"id": h.id, "state": h.state.value, "awareness": h.awareness, "protection": h.protection}
-            for h in net.hosts
-        ],
-        "clouds": [{"id": c.id, "contaminated": c.contaminated} for c in net.clouds],
-        "edges": [{"host": e.host, "cloud": e.cloud, "prob": e.prob} for e in net.edges],
-    }
+    return to_dict(net)
 
 
 def network_from_dict(data: dict) -> Network:
     """Parse and validate a network document produced by :func:`network_to_dict`."""
-    check_keys(data, "network document", ("hosts", "clouds", "edges"))
-    for key in ("hosts", "clouds", "edges"):
-        check_type(data[key], list, f"'{key}'")
-
-    hosts: list[Host] = []
-    for idx, entry in enumerate(data["hosts"]):
-        check_keys(entry, f"host {idx}", ("id", "state", "awareness", "protection"))
-        hosts.append(
-            Host(
-                id=entry["id"],
-                state=check_enum(entry["state"], HostState, f"host {idx} state"),
-                awareness=entry["awareness"],
-                protection=entry["protection"],
-            )
-        )
-
-    clouds: list[CloudStore] = []
-    for idx, entry in enumerate(data["clouds"]):
-        check_keys(entry, f"cloud {idx}", ("id", "contaminated"))
-        clouds.append(CloudStore(id=entry["id"], contaminated=entry["contaminated"]))
-
-    edges: list[Edge] = []
-    for idx, entry in enumerate(data["edges"]):
-        check_keys(entry, f"edge {idx}", ("host", "cloud", "prob"))
-        edges.append(Edge(host=entry["host"], cloud=entry["cloud"], prob=entry["prob"]))
-
-    return Network(hosts=tuple(hosts), clouds=tuple(clouds), edges=tuple(edges))
+    return from_dict(Network, data, "network document")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 
-from .errors import ValidationError, check_enum, check_items, check_keys, check_number, check_type
+from .errors import ValidationError, check_items, check_number, check_sequence, check_type, from_dict, to_dict
 from .scoring import TraitProfile, disinfection_payoff, severity
 
 __all__ = [
@@ -128,7 +128,7 @@ def rank_strategies(
     scenario's disinfection payoff. Weights must be nonnegative and sum to 1.
     Ties break by ascending complexity, then name.
     """
-    weights = tuple(weights)
+    weights = check_sequence(weights, "ranking weights")
     if len(weights) != 4:
         raise ValidationError(f"expected 4 ranking weights, got {len(weights)}")
     for w in weights:
@@ -155,50 +155,9 @@ def rank_strategies(
 
 def catalog_to_dict(cat: StrategyCatalog) -> dict:
     """JSON-ready document for a catalog."""
-    strategies = []
-    for s in cat.strategies:
-        entry: dict = {
-            "name": s.name,
-            "overall_complexity": s.overall_complexity,
-            "effectiveness": s.effectiveness.value,
-            "reinfection_risk": s.reinfection_risk.value,
-            "steps": [],
-        }
-        if s.note is not None:
-            entry["note"] = s.note
-        for st in s.steps:
-            step_entry: dict = {"description": st.description, "complexity": st.complexity}
-            if st.note is not None:
-                step_entry["note"] = st.note
-            entry["steps"].append(step_entry)
-        strategies.append(entry)
-    return {"strategies": strategies}
+    return to_dict(cat)
 
 
 def catalog_from_dict(data: dict) -> StrategyCatalog:
     """Parse and validate a catalog document produced by :func:`catalog_to_dict`."""
-    check_keys(data, "catalog document", ("strategies",))
-    check_type(data["strategies"], list, "'strategies'")
-
-    strategies: list[Strategy] = []
-    for idx, entry in enumerate(data["strategies"]):
-        what = f"strategy {idx}"
-        check_keys(
-            entry, what, ("name", "overall_complexity", "effectiveness", "reinfection_risk", "steps"), ("note",)
-        )
-        check_type(entry["steps"], list, f"{what} steps")
-        steps: list[Step] = []
-        for sidx, step_entry in enumerate(entry["steps"]):
-            check_keys(step_entry, f"{what} step {sidx}", ("description", "complexity"), ("note",))
-            steps.append(Step(step_entry["description"], step_entry["complexity"], step_entry.get("note")))
-        strategies.append(
-            Strategy(
-                name=entry["name"],
-                steps=tuple(steps),
-                overall_complexity=entry["overall_complexity"],
-                effectiveness=check_enum(entry["effectiveness"], Level, f"{what} effectiveness"),
-                reinfection_risk=check_enum(entry["reinfection_risk"], Level, f"{what} reinfection_risk"),
-                note=entry.get("note"),
-            )
-        )
-    return StrategyCatalog(strategies=tuple(strategies))
+    return from_dict(StrategyCatalog, data, "catalog document")

@@ -16,8 +16,8 @@ from pathlib import Path
 import pytest
 
 from ransomlab.games import (
+    BimatrixGame,
     expected_payoffs,
-    make_game,
     mixed_nash_2x2,
     pure_nash,
 )
@@ -196,7 +196,7 @@ def test_criterion_6_game_oracle_equivalence():
         def draw() -> float:
             return float(rng.randint(-3, 3)) if integral else rng.uniform(-10, 10)
 
-        g = make_game(
+        g = BimatrixGame(
             [f"r{i}" for i in range(n_rows)],
             [f"c{j}" for j in range(n_cols)],
             [[(draw(), draw()) for _ in range(n_cols)] for _ in range(n_rows)],
@@ -214,7 +214,7 @@ def test_criterion_6_game_oracle_equivalence():
                     assert expected_payoffs(g, unit, eq.col_mix)[0] <= value_row + 1e-9
                     assert expected_payoffs(g, eq.row_mix, unit)[1] <= value_col + 1e-9
 
-    pennies = make_game(
+    pennies = BimatrixGame(
         ["Heads", "Tails"], ["Heads", "Tails"], [[(1, -1), (-1, 1)], [(-1, 1), (1, -1)]]
     )
     eq = mixed_nash_2x2(pennies)

@@ -1,0 +1,135 @@
+"""Direct construction by introspection: every exported dataclass either works or raises ValidationError.
+
+Each module's ``__all__`` is walked for dataclasses. Each one has a valid
+instance in ``VALID`` or a reason in ``OUTPUT_ONLY``, so a new type cannot
+skip the contract. Replacing any one field of a valid instance with a
+hostile value must raise :class:`ValidationError` or give an instance that
+hashes, which shows it stored nothing mutable.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import importlib
+import json
+import math
+import pkgutil
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ransomlab
+from ransomlab.errors import ValidationError
+from ransomlab.games import BimatrixGame, Equilibrium, pd_game, pure_nash, ransom_game
+from ransomlab.ingest import ProfileDocument, parse_profile_document
+from ransomlab.report import MetricComparison, ProfileComparison, SweepResult, SweepRow, SweepSpec, sweep
+from ransomlab.scoring import ScoreSet, TraitProfile
+from ransomlab.simnet import (
+    CloudStore, Edge, Host, MonteCarloSummary, Network, SimConfig, TickCounts, Trajectory, network_from_dict,
+)
+from ransomlab.strategies import Step, Strategy, StrategyCatalog, catalog_from_dict
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _document(path: Path) -> dict:
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+# The document types come from the shipped documents, through their parsers.
+_NETWORK = network_from_dict(_document(REPO_ROOT / "sample_data" / "star4.json"))
+_CATALOG = catalog_from_dict(_document(REPO_ROOT / "src" / "ransomlab" / "data" / "default_catalog.json"))
+_PROFILE_DOCUMENT = parse_profile_document(_document(REPO_ROOT / "sample_data" / "company_a.json"))
+_SWEEP = sweep(SweepSpec("A", 20))
+
+VALID = {
+    Host: _NETWORK.hosts[0],
+    CloudStore: _NETWORK.clouds[0],
+    Edge: _NETWORK.edges[0],
+    Network: _NETWORK,
+    Step: _CATALOG.strategies[1].steps[1],
+    Strategy: _CATALOG.strategies[2],
+    StrategyCatalog: _CATALOG,
+    ProfileDocument: _PROFILE_DOCUMENT,
+    TraitProfile: _PROFILE_DOCUMENT.profile,
+    BimatrixGame: ransom_game(),
+    Equilibrium: pure_nash(pd_game(5, 3, 1, 0))[0],
+    SimConfig: SimConfig(ticks=5, base_infection_prob=0.5, clean_prob_per_tick=0.1, reinfection_allowed=True, seed=1),
+    SweepSpec: _SWEEP.spec,
+    SweepRow: _SWEEP.rows[1],
+    SweepResult: _SWEEP,
+}
+
+OUTPUT_ONLY = {
+    ScoreSet: "built by score_all on every call and 101 times per sweep, from scores it has just computed",
+    TickCounts: "built by run from the kernel's own per-tick counts",
+    Trajectory: "returned by run; its counts and final_f come from the kernel",
+    MonteCarloSummary: "returned by monte_carlo_f from the final_f values it computed",
+    MetricComparison: "built by compare_profiles from two ScoreSets",
+    ProfileComparison: "returned by compare_profiles",
+}
+
+HOSTILE = (None, "ab", math.nan, math.inf, -1, 10**400, True, [], [1], {}, object())
+
+
+def _fields(instance) -> dict:
+    return {field.name: getattr(instance, field.name) for field in dataclasses.fields(instance)}
+
+
+def _exported_dataclasses() -> set[type]:
+    found = set()
+    for info in pkgutil.iter_modules(ransomlab.__path__):
+        module = importlib.import_module(f"ransomlab.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            value = getattr(module, name)
+            if isinstance(value, type) and dataclasses.is_dataclass(value):
+                found.add(value)
+    return found
+
+
+def test_every_exported_dataclass_is_frozen_and_registered():
+    found = _exported_dataclasses()
+    assert all(kind.__dataclass_params__.frozen for kind in found)
+    assert not set(VALID) & set(OUTPUT_ONLY)
+    assert found == set(VALID) | set(OUTPUT_ONLY)
+
+
+@pytest.mark.parametrize("kind", VALID, ids=lambda kind: kind.__name__)
+def test_registered_instances_rebuild_from_their_fields(kind):
+    instance = VALID[kind]
+    assert type(instance) is kind
+    assert kind(**_fields(instance)) == instance
+    hash(instance)
+
+
+def _build_or_reject(kind: type, field: str, value: object) -> None:
+    try:
+        built = kind(**{**_fields(VALID[kind]), field: value})
+    except ValidationError:
+        return
+    hash(built)
+
+
+@pytest.mark.parametrize("kind", VALID, ids=lambda kind: kind.__name__)
+def test_every_field_rejects_or_stores_each_hostile_value(kind):
+    for field in dataclasses.fields(kind):
+        for value in HOSTILE:
+            _build_or_reject(kind, field.name, value)
+
+
+_CASES = [(kind, field.name) for kind in VALID for field in dataclasses.fields(kind)]
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4) | st.sampled_from(HOSTILE),
+    lambda children: st.lists(children, max_size=3) | st.tuples(children, children) | st.dictionaries(
+        st.text(max_size=3), children, max_size=2
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=st.sampled_from(_CASES), value=_VALUES)
+def test_any_field_value_is_rejected_or_stored(case, value):
+    _build_or_reject(*case, value)

@@ -15,7 +15,6 @@ from ransomlab.games import (
     expected_payoffs,
     game_from_dict,
     game_to_dict,
-    make_game,
     mixed_nash_2x2,
     pd_game,
     pure_nash,
@@ -50,7 +49,7 @@ def pure_profiles(equilibria) -> list[tuple[int, int]]:
 
 
 def matching_pennies() -> BimatrixGame:
-    return make_game(
+    return BimatrixGame(
         ["Heads", "Tails"],
         ["Heads", "Tails"],
         [[(1, -1), (-1, 1)], [(-1, 1), (1, -1)]],
@@ -58,14 +57,14 @@ def matching_pennies() -> BimatrixGame:
 
 
 def all_zero_2x2() -> BimatrixGame:
-    return make_game(["r0", "r1"], ["c0", "c1"], [[(0, 0), (0, 0)], [(0, 0), (0, 0)]])
+    return BimatrixGame(["r0", "r1"], ["c0", "c1"], [[(0, 0), (0, 0)], [(0, 0), (0, 0)]])
 
 
 def random_game(rng: random.Random, n_rows: int, n_cols: int, integral: bool) -> BimatrixGame:
     def draw() -> float:
         return float(rng.randint(-3, 3)) if integral else rng.uniform(-10, 10)
 
-    return make_game(
+    return BimatrixGame(
         [f"r{i}" for i in range(n_rows)],
         [f"c{j}" for j in range(n_cols)],
         [[(draw(), draw()) for _ in range(n_cols)] for _ in range(n_rows)],
@@ -82,7 +81,7 @@ def test_game_rejects_mismatched_dimensions():
 
 def test_game_rejects_non_finite_payoffs():
     with pytest.raises(ValidationError):
-        make_game(["r0"], ["c0"], [[(float("inf"), 0.0)]])
+        BimatrixGame(["r0"], ["c0"], [[(float("inf"), 0.0)]])
 
 
 def test_ransom_game_anchor_cells():
@@ -251,7 +250,7 @@ def tie_heavy_games(draw) -> BimatrixGame:
     n_cols = draw(st.integers(1, 8))
     cells = st.tuples(tie_heavy_payoffs, tie_heavy_payoffs)
     payoffs = draw(st.lists(st.lists(cells, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows))
-    return make_game([f"r{i}" for i in range(n_rows)], [f"c{j}" for j in range(n_cols)], payoffs)
+    return BimatrixGame([f"r{i}" for i in range(n_rows)], [f"c{j}" for j in range(n_cols)], payoffs)
 
 
 @settings(max_examples=500, deadline=None)
@@ -300,7 +299,7 @@ def test_affine_transform_preserves_equilibrium_structure():
     rng = random.Random(77)
     for _ in range(100):
         g = random_game(rng, 2, 2, integral=False)
-        scaled = make_game(
+        scaled = BimatrixGame(
             g.row_labels,
             g.col_labels,
             [
@@ -336,7 +335,7 @@ def test_replicator_defectors_gain_in_prisoners_dilemma():
 
 
 def test_replicator_uniform_on_zero_game_unchanged():
-    g = make_game(["x", "y"], ["x", "y"], [[(0, 0), (0, 0)], [(0, 0), (0, 0)]])
+    g = BimatrixGame(["x", "y"], ["x", "y"], [[(0, 0), (0, 0)], [(0, 0), (0, 0)]])
     assert replicator_step(g, (0.5, 0.5), 1.0) == (0.5, 0.5)
 
 
@@ -351,7 +350,7 @@ def test_replicator_preserves_simplex_under_random_steps():
 
 
 def test_replicator_rejects_asymmetric_games():
-    g = make_game(["a", "b"], ["a", "b"], [[(1, 0), (0, 0)], [(0, 0), (0, 0)]])
+    g = BimatrixGame(["a", "b"], ["a", "b"], [[(1, 0), (0, 0)], [(0, 0), (0, 0)]])
     with pytest.raises(ValidationError):
         replicator_step(g, (0.5, 0.5), 0.1)
     with pytest.raises(ValidationError):

@@ -1,20 +1,27 @@
-"""Golden sha256 digests of the sweep files and the score/compare output.
+"""Golden sha256 digests of the sweep files, the score/compare output and the written documents.
 
 The A=20 and C=90 digests were recorded from the implementation before sweep
 rows carried a ``ScoreSet``, and the G=0 and I=55.5 digests from the
 profile-per-point sweep before it became column-wise; any byte change to the
 CSV, the SVG or the CLI lines fails here, not only a change in shape or in a
-four-decimal spot value.
+four-decimal spot value. The document digests were recorded from the
+hand-written per-type writers before one codec wrote every document; the
+catalog is hashed with sorted keys because its key order changed then.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
 from ransomlab.cli import main
+from ransomlab.games import game_to_dict, pd_game, ransom_game, snowdrift_game
+from ransomlab.ingest import load_network
 from ransomlab.report import SweepSpec, sweep, sweep_csv, sweep_svg
+from ransomlab.simnet import network_to_dict
+from ransomlab.strategies import catalog_to_dict, default_catalog
 
 SWEEP_DIGESTS = {
     ("A", 20.0): (
@@ -45,6 +52,19 @@ CLI_DIGESTS = {
     ),
 }
 
+NETWORK_DIGESTS = {
+    "ring8.json": "f9cd580dd2dd41d7b276c832d1dc01c377fec0a4bff8c95ab4256309908d1369",
+    "star4.json": "8f6531b28a72ecaa76921bf4b216f87889a45d1bea46286742623e60e2a2d741",
+}
+
+GAME_DIGESTS = {
+    "ransom": (ransom_game, "76ba4d11e300ebc8a39df4b1987aed98546bf3c96e7183aa6b9a6838685c4b0e"),
+    "pd 5 3 1 0": (lambda: pd_game(5, 3, 1, 0), "4ebd6c1db86c851437dc6f41eb4037240711b0e910666a595ae7a34a02106c7e"),
+    "snowdrift 4 2": (lambda: snowdrift_game(4, 2), "3118cc3e5c6d8604b722f326d3a00727917417973dcd54c99331d2bad8aec7d5"),
+}
+
+CATALOG_SORTED_DIGEST = "94962e714365902b15f942753b22d1a8f8d4950c93521650605a2c113fd5c1f7"
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -63,3 +83,20 @@ def test_cli_output_matches_golden_digests(argv, capsys, sample_dir):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert _sha256(captured.out) == CLI_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("name", NETWORK_DIGESTS)
+def test_network_documents_match_golden_digests(name, sample_dir):
+    doc = network_to_dict(load_network(sample_dir / name))
+    assert _sha256(json.dumps(doc, indent=2)) == NETWORK_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", GAME_DIGESTS)
+def test_game_documents_match_golden_digests(name):
+    build, digest = GAME_DIGESTS[name]
+    assert _sha256(json.dumps(game_to_dict(build()), indent=2)) == digest
+
+
+def test_catalog_document_matches_golden_digest():
+    doc = catalog_to_dict(default_catalog())
+    assert _sha256(json.dumps(doc, indent=2, sort_keys=True)) == CATALOG_SORTED_DIGEST

@@ -17,11 +17,12 @@ from ransomlab import strategies as strategies_module
 from ransomlab.cli import main
 from ransomlab.errors import ValidationError, check_keys
 from ransomlab.games import (
-    BimatrixGame, Equilibrium, expected_payoffs, game_from_dict, game_to_dict, make_game, ransom_game,
+    BimatrixGame, Equilibrium, expected_payoffs, game_from_dict, game_to_dict, pd_game, ransom_game, replicator_step,
+    snowdrift_game,
 )
 from ransomlab.ingest import ProfileDocument, parse_profile_document
-from ransomlab.report import SweepResult, SweepSpec, sweep, sweep_csv
-from ransomlab.scoring import TraitProfile
+from ransomlab.report import SweepResult, SweepRow, SweepSpec, sweep, sweep_csv
+from ransomlab.scoring import ScoreSet, TraitProfile
 from ransomlab.simnet import CloudStore, Edge, Host, Network, SimConfig, network_from_dict
 from ransomlab.strategies import (
     Level,
@@ -99,6 +100,7 @@ def test_parsers_return_or_raise_validation_error(data):
 # -- direct construction -------------------------------------------------------
 
 _PROFILE = TraitProfile(a=20, b=25, c=25, d=100, e=80, f=90, g=25, h=60, i=15)
+_SCORES = ScoreSet(1.0, 2.0, 3.0, 4.0)
 
 BAD_CONSTRUCTIONS = {
     "host string id": lambda: Host(id="h1"),
@@ -131,10 +133,10 @@ BAD_CONSTRUCTIONS = {
     ),
     "catalog int strategy": lambda: StrategyCatalog((1,)),
     "catalog none strategies": lambda: StrategyCatalog(None),
-    "game int row label": lambda: make_game([1], ["c"], [[(0, 0)]]),
+    "game int row label": lambda: BimatrixGame([1], ["c"], [[(0, 0)]]),
     "game none column label": lambda: BimatrixGame(("r",), (None,), (((0.0, 0.0),),)),
-    "game no rows": lambda: make_game([], ["c"], []),
-    "game no columns": lambda: make_game(["a", "b"], [], [[], []]),
+    "game no rows": lambda: BimatrixGame([], ["c"], []),
+    "game no columns": lambda: BimatrixGame(["a", "b"], [], [[], []]),
     "game no rows or columns": lambda: BimatrixGame((), (), ()),
     "game none row labels": lambda: BimatrixGame(None, ("c",), (((0, 0),),)),
     "game none payoffs": lambda: BimatrixGame(("r",), ("c",), None),
@@ -151,7 +153,19 @@ BAD_CONSTRUCTIONS = {
     "sweep result none rows": lambda: SweepResult(SweepSpec("A", 20), rows=None),
     "sweep result none spec": lambda: SweepResult(None),
     "profile document int name": lambda: ProfileDocument(name=5, profile=_PROFILE),
+    "profile document none profile": lambda: ProfileDocument("x", None),
     "ranking nan weight": lambda: rank_strategies(default_catalog(), _PROFILE, (math.nan, 0.5, 0.25, 0.25)),
+    "ranking none weights": lambda: rank_strategies(default_catalog(), _PROFILE, None),
+    "replicator string dt": lambda: replicator_step(pd_game(5, 3, 1, 0), (0.5, 0.5), "x"),
+    "ransom game none payoffs": lambda: ransom_game(None),
+    "ransom game int virus payoffs": lambda: ransom_game(virus_payoffs=4),
+    "pd game string payoff": lambda: pd_game("a", 3, 1, 0),
+    "snowdrift string benefit": lambda: snowdrift_game("a", 1),
+    "snowdrift none cost": lambda: snowdrift_game(2, None),
+    "sweep row string t": lambda: SweepRow("x", _SCORES),
+    "sweep row bool t": lambda: SweepRow(True, _SCORES),
+    "sweep row none scores": lambda: SweepRow(0, None),
+    "sweep csv of string row": lambda: sweep_csv(SweepResult(SweepSpec("A", 20), rows=(SweepRow("x", None),))),
 }
 
 
@@ -159,6 +173,22 @@ BAD_CONSTRUCTIONS = {
 def test_constructors_reject_bad_fields(build):
     with pytest.raises(ValidationError):
         build()
+
+
+KEPT_MESSAGES = {
+    "prisoner's dilemma requires T > R > P > S, got (1, 2, 3, 4)": lambda: pd_game(1, 2, 3, 4),
+    "snowdrift requires b > c > 0, got (b=1.5, c=2)": lambda: snowdrift_game(1.5, 2),
+    "dt must be positive and finite, got 0": lambda: replicator_step(pd_game(5, 3, 1, 0), (0.5, 0.5), 0),
+    "ransom_game expects 4 user payoffs and 4 virus payoffs": lambda: ransom_game((1, 2, 3)),
+    "expected 4 ranking weights, got 3": lambda: rank_strategies(default_catalog(), _PROFILE, [0.5, 0.25, 0.25]),
+}
+
+
+@pytest.mark.parametrize("message", KEPT_MESSAGES, ids=range(len(KEPT_MESSAGES)))
+def test_well_typed_bad_values_keep_their_messages(message):
+    with pytest.raises(ValidationError) as err:
+        KEPT_MESSAGES[message]()
+    assert str(err.value) == message
 
 
 def test_list_built_values_equal_and_hash_like_tuple_built():
@@ -198,7 +228,7 @@ BAD_CELLS = {
 def test_bad_game_cells_name_the_cell(cell):
     payoffs = [[(0, 0), (0, 0)], [(0, 0), cell]]
     with pytest.raises(ValidationError, match=r"\(1, 1\)"):
-        make_game(["r0", "r1"], ["c0", "c1"], payoffs)
+        BimatrixGame(["r0", "r1"], ["c0", "c1"], payoffs)
     doc = {"row_labels": ["r0", "r1"], "col_labels": ["c0", "c1"], "payoffs": payoffs}
     with pytest.raises(ValidationError, match=r"\(1, 1\)"):
         game_from_dict(json.loads(json.dumps(doc)))
@@ -214,7 +244,7 @@ def test_game_document_with_empty_labels_is_rejected():
 def test_game_cells_accept_ints_and_floats_but_not_bools():
     game = BimatrixGame(("r",), ("c",), [[[1, 2.5]]])
     assert game.payoffs == (((1.0, 2.5),),) and type(game.payoffs[0][0][0]) is float
-    assert make_game(["r"], ["c"], [[(1, 2.5)]]).payoffs == (((1.0, 2.5),),)
+    assert BimatrixGame(["r"], ["c"], [[(1, 2.5)]]).payoffs == (((1.0, 2.5),),)
     with pytest.raises(ValidationError, match=r"\(0, 0\)"):
         BimatrixGame(("r",), ("c",), (((False, 2.5),),))
 
