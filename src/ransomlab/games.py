@@ -8,7 +8,8 @@ dominance read best responses: each column's best row payoff and each
 row's best column payoff, computed once per game.
 
 Everything operates on immutable, non-empty :class:`BimatrixGame` values
-(at least one row and one column) and is thread-safe. A game document is
+(at least one row and one column), rejects any other argument with
+:class:`ValidationError`, and is thread-safe. A game document is
 keyed by the :class:`BimatrixGame` field names; payoff cells are ``[r, c]``.
 """
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .errors import ValidationError, check_items, check_number, check_sequence, from_dict, to_dict
+from .errors import ValidationError, check_items, check_number, check_sequence, check_type, from_dict, to_dict
 
 __all__ = [
     "BimatrixGame",
@@ -205,6 +206,7 @@ def pure_nash(g: BimatrixGame) -> list[Equilibrium]:
     to the other's: its row payoff is its column's best and its column payoff
     is its row's best.
     """
+    check_type(g, BimatrixGame, "game")
     col_best, row_best = _best_payoffs(g)
     return [
         Equilibrium(_unit_mix(g.n_rows, i), _unit_mix(g.n_cols, j), row_payoff, col_payoff, "pure")
@@ -222,6 +224,7 @@ def mixed_nash_2x2(g: BimatrixGame) -> Equilibrium | None:
     ``None`` when the indifference system is degenerate or the solution is
     not strictly inside the simplex.
     """
+    check_type(g, BimatrixGame, "game")
     if g.n_rows != 2 or g.n_cols != 2:
         raise ValidationError(f"mixed_nash_2x2 requires a 2x2 game, got {g.n_rows}x{g.n_cols}")
     a = [[g.row_payoff(i, j) for j in range(2)] for i in range(2)]
@@ -247,6 +250,7 @@ def dominant_strategies(g: BimatrixGame) -> tuple[list[str], list[str]]:
     A strategy is strictly dominant when it is the unique best response
     against every opposing strategy.
     """
+    check_type(g, BimatrixGame, "game")
     col_best, row_best = _best_payoffs(g)
     best_rows = {
         tuple(i for i, (row_payoff, _) in enumerate(column) if row_payoff == best)
@@ -279,6 +283,7 @@ def expected_payoffs(
     g: BimatrixGame, row_mix: tuple[float, ...], col_mix: tuple[float, ...]
 ) -> tuple[float, float]:
     """Bilinear expected payoff for each player under the given mixes."""
+    check_type(g, BimatrixGame, "game")
     row_mix = _check_mix(row_mix, g.n_rows, "row")
     col_mix = _check_mix(col_mix, g.n_cols, "column")
     row_value = 0.0
@@ -302,6 +307,7 @@ def replicator_step(g: BimatrixGame, pop: tuple[float, ...], dt: float) -> tuple
     simplex (negative Euler overshoots are clamped to zero before
     renormalizing).
     """
+    check_type(g, BimatrixGame, "game")
     if g.row_labels != g.col_labels:
         raise ValidationError("replicator_step requires matching row and column strategy labels")
     for i in range(g.n_rows):
@@ -324,6 +330,7 @@ def replicator_step(g: BimatrixGame, pop: tuple[float, ...], dt: float) -> tuple
 
 def game_to_dict(g: BimatrixGame) -> dict:
     """JSON-ready document for a game."""
+    check_type(g, BimatrixGame, "game")
     return to_dict(g)
 
 

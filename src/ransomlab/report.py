@@ -23,17 +23,30 @@ per-point :class:`~ransomlab.scoring.TraitProfile` is built. The formulas
 are the functions the profile scores delegate to, so each row equals the
 scores of its diagonal profile exactly.
 
+A :class:`SweepResult` stores columns: the points ``t`` and the four score
+columns in :data:`~ransomlab.scoring.METRICS` order. Its ``rows`` property
+derives the per-point :class:`SweepRow` view on each access; the sweep and
+both renderers build no per-point object.
+
 Rendering is deterministic: fixed four-decimal CSV (LF line endings) and a
 hand-assembled 800x600 SVG with one polyline per metric; identical results
-produce byte-identical files.
+produce byte-identical files. The CSV body is one template filled from a
+flat row-major cell list. Everything in the SVG but the title and the y
+values depends only on the t axis, so that frame is built once per axis and
+a few axes are kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import sys
+from dataclasses import dataclass
+from itertools import chain
+from os import PathLike
 from pathlib import Path
+from typing import Iterable, Sequence
 
-from .errors import ValidationError, check_items, check_number, check_type
+from .errors import ValidationError, check_items, check_number, check_sequence, check_type
 from .scoring import (
     METRICS, VARIABLE_KEYS, ScoreSet, TraitProfile, disinfection_payoff_of, disinfection_probability_of, score_all,
     severity_of, spreadability_of,
@@ -72,6 +85,8 @@ class ProfileComparison:
 
 def compare_profiles(p1: TraitProfile, p2: TraitProfile) -> ProfileComparison:
     """Score both profiles and flag, per metric, which side is strictly higher."""
+    check_type(p1, TraitProfile, "first profile")
+    check_type(p2, TraitProfile, "second profile")
     s1 = score_all(p1)
     s2 = score_all(p2)
     metrics = []
@@ -107,22 +122,57 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """A sweep as columns: the points ``t`` and one score column per metric, in :data:`METRICS` order.
+
+    Takes tuples or lists and stores tuples; every score column is as long
+    as ``t`` and holds floats. :attr:`rows` derives the per-point view.
+    """
+
     spec: SweepSpec
-    rows: tuple[SweepRow, ...] = field(default_factory=tuple)
+    t: tuple[int, ...] = ()
+    scores: tuple[tuple[float, ...], ...] = ((),) * len(METRICS)
 
     def __post_init__(self) -> None:
         check_type(self.spec, SweepSpec, "sweep spec")
-        rows = check_items(self.rows, SweepRow, "sweep rows", "sweep row")
-        object.__setattr__(self, "rows", rows)  # frozen: store a tuple
+        t = check_items(self.t, int, "sweep t", "sweep t")
+        if t and not (-_FLOAT_MAX <= min(t) and max(t) <= _FLOAT_MAX):  # the chart places each t as a float
+            raise ValidationError("sweep t must lie within float range")
+        columns = check_sequence(self.scores, "sweep scores")
+        if len(columns) != len(METRICS):
+            raise ValidationError(f"sweep scores must hold {len(METRICS)} columns, got {len(columns)}")
+        columns = tuple(_score_column(column, metric, len(t)) for metric, column in zip(METRICS, columns))
+        object.__setattr__(self, "t", t)  # frozen: store tuples
+        object.__setattr__(self, "scores", columns)
+
+    @property
+    def rows(self) -> tuple[SweepRow, ...]:
+        """One :class:`SweepRow` per point, built from the columns on each access."""
+        return tuple(map(SweepRow, self.t, map(ScoreSet, *self.scores)))
 
     def column(self, metric: str) -> list[float]:
-        attr = METRICS.get(metric)
-        if attr is None:
+        k = _COLUMN_INDEX.get(metric) if isinstance(metric, str) else None
+        if k is None:
             raise ValidationError(f"unknown metric {metric!r}")
-        return [getattr(row.scores, attr) for row in self.rows]
+        return list(self.scores[k])
 
 
-_POINTS = range(101)
+_COLUMN_INDEX = {metric: k for k, metric in enumerate(METRICS)}
+_FLOAT_MAX = sys.float_info.max
+
+
+def _score_column(column: object, metric: str, n: int) -> tuple[float, ...]:
+    """Return ``column`` as a tuple of ``n`` floats, rejecting anything else."""
+    column = check_sequence(column, f"sweep {metric} scores")
+    if len(column) != n:
+        raise ValidationError(f"sweep {metric} scores hold {len(column)} values for {n} points")
+    if {*map(type, column)} <= {float}:  # exact floats skip the calls; only other values pay for them
+        return column
+    for k, x in enumerate(column):
+        check_number(x, f"sweep {metric} score {k}", -_FLOAT_MAX, _FLOAT_MAX)
+    return tuple(map(float, column))
+
+
+_POINTS = tuple(range(101))
 _DIAGONAL = tuple(map(float, _POINTS))
 
 
@@ -131,42 +181,46 @@ def sweep(spec: SweepSpec) -> SweepResult:
 
     Each variable is a column over t: the diagonal itself, or the fixed
     value at every point, with G floored at 1. Each score formula is mapped
-    over those columns once.
+    over those columns once, and the result stores the four score columns.
     """
+    check_type(spec, SweepSpec, "sweep spec")
     columns = dict.fromkeys(VARIABLE_KEYS, _DIAGONAL)
     columns[spec.fixed_variable] = (float(spec.fixed_value),) * len(_POINTS)
     columns["G"] = tuple(1.0 if g == 0.0 else g for g in columns["G"])
     a, b, c, _, e, f, g, h, i = columns.values()
     sps = tuple(map(spreadability_of, a, f))
-    scores = map(
-        ScoreSet,
+    scores = (
         sps,
-        map(severity_of, c, e, f, sps, g),
-        map(disinfection_probability_of, a, b, e, f, h, i),
-        map(disinfection_payoff_of, c, _DIAGONAL),
+        tuple(map(severity_of, c, e, f, sps, g)),
+        tuple(map(disinfection_probability_of, a, b, e, f, h, i)),
+        tuple(map(disinfection_payoff_of, c, _DIAGONAL)),
     )
-    return SweepResult(spec=spec, rows=tuple(map(SweepRow, _POINTS, scores)))
+    return SweepResult(spec, _POINTS, scores)
 
 
 _CSV_HEADER = ",".join(("t", *METRICS))
 _CSV_ROW = "%d" + ",%.4f" * len(METRICS)
+_CSV_WIDTH = 1 + len(METRICS)
 
 
 def sweep_csv(result: SweepResult) -> str:
     """CSV text with header ``t,SPS,S,DP,DC``, four decimals, LF endings."""
-    if not result.rows:
+    check_type(result, SweepResult, "sweep result")
+    if not result.t:
         raise ValidationError("cannot render an empty sweep result")
-    lines = [_CSV_HEADER]
-    for row in result.rows:
-        lines.append(_CSV_ROW % (row.t, *row.scores.values()))
-    return "\n".join(lines) + "\n"
+    # One flat row-major cell list, filled a column at a time, and one template for the whole body.
+    n = len(result.t)
+    cells = [None] * (n * _CSV_WIDTH)
+    cells[::_CSV_WIDTH] = result.t
+    for k, column in enumerate(result.scores, 1):
+        cells[k::_CSV_WIDTH] = column
+    body = "\n".join([_CSV_ROW] * n) % tuple(cells)
+    return f"{_CSV_HEADER}\n{body}\n"
 
 
 def render_csv(result: SweepResult, path: str | Path) -> Path:
     """Write the sweep as CSV and return the path."""
-    path = Path(path)
-    path.write_text(sweep_csv(result), encoding="utf-8", newline="")
-    return path
+    return _write(sweep_csv(result), path)
 
 
 _SVG_WIDTH = 800
@@ -181,9 +235,11 @@ _SERIES_COLORS = {
     "DP": "#2ca02c",
     "DC": "#9467bd",
 }
+# Chart frames kept, one per t axis; a full sweep always has the same axis.
+_SVG_FRAMES = 8
 
 
-def _x_positions(ts: list[float], t_min: float, t_max: float) -> list[float]:
+def _x_positions(ts: Sequence[float], t_min: float, t_max: float) -> list[float]:
     span = t_max - t_min
     if span == 0:
         return [(_PLOT_LEFT + _PLOT_RIGHT) / 2.0] * len(ts)
@@ -191,7 +247,7 @@ def _x_positions(ts: list[float], t_min: float, t_max: float) -> list[float]:
     return [_PLOT_LEFT + (t - t_min) / span * width for t in ts]
 
 
-def _y_positions(scores: list[float]) -> list[float]:
+def _y_positions(scores: Iterable[float]) -> list[float]:
     height = _PLOT_BOTTOM - _PLOT_TOP
     return [_PLOT_BOTTOM - score / 100.0 * height for score in scores]
 
@@ -199,13 +255,26 @@ def _y_positions(scores: list[float]) -> list[float]:
 def sweep_svg(result: SweepResult) -> str:
     """SVG 1.1 line chart: four polylines, axes, gridlines, and a legend.
 
-    Output bytes are a pure function of the sweep result.
+    Output bytes are a pure function of the sweep result. The frame comes
+    from :func:`_svg_frame`; each call fills in the title and the y values.
     """
-    if not result.rows:
+    check_type(result, SweepResult, "sweep result")
+    if not result.t:
         raise ValidationError("cannot render an empty sweep result")
     spec = result.spec
-    t_min = float(result.rows[0].t)
-    t_max = float(result.rows[-1].t)
+    title = f"{spec.fixed_variable}={_format_value(spec.fixed_value)}"
+    return _svg_frame(result.t) % (title, *_y_positions(chain.from_iterable(result.scores)))
+
+
+@functools.lru_cache(maxsize=_SVG_FRAMES)
+def _svg_frame(t: tuple[int, ...]) -> str:
+    """The chart for one t axis as a template: ``%s`` for the title, then ``%.2f`` for each series' y values.
+
+    Everything but the title and the y values depends only on ``t``: the
+    header, gridlines, ticks, axes, labels, legend and each point's x.
+    """
+    t_min = float(t[0])
+    t_max = float(t[-1])
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -213,7 +282,7 @@ def sweep_svg(result: SweepResult) -> str:
         f'height="{_SVG_HEIGHT}" viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">',
         f'<rect x="0" y="0" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>',
         f'<text x="{(_PLOT_LEFT + _PLOT_RIGHT) / 2:.2f}" y="25" font-size="16" text-anchor="middle" '
-        f'font-family="sans-serif">{spec.fixed_variable}={_format_value(spec.fixed_value)}</text>',
+        'font-family="sans-serif">%s</text>',
     ]
 
     grid_scores = (0, 25, 50, 75, 100)
@@ -229,14 +298,14 @@ def sweep_svg(result: SweepResult) -> str:
 
     tick_count = 5 if t_max > t_min else 1
     ticks = [t_min + (t_max - t_min) * k / max(1, tick_count - 1) for k in range(tick_count)]
-    for t, x in zip(ticks, _x_positions(ticks, t_min, t_max)):
+    for tick, x in zip(ticks, _x_positions(ticks, t_min, t_max)):
         parts.append(
             f'<line x1="{x:.2f}" y1="{_PLOT_BOTTOM:.2f}" x2="{x:.2f}" y2="{_PLOT_BOTTOM + 5:.2f}" '
             'stroke="#333333" stroke-width="1"/>'
         )
         parts.append(
             f'<text x="{x:.2f}" y="{_PLOT_BOTTOM + 20:.2f}" font-size="12" text-anchor="middle" '
-            f'font-family="sans-serif">{t:.0f}</text>'
+            f'font-family="sans-serif">{tick:.0f}</text>'
         )
 
     parts.append(
@@ -257,11 +326,10 @@ def sweep_svg(result: SweepResult) -> str:
     )
 
     # One points template for the four series: each x is formatted once, each series fills in its y column.
-    points = " ".join(f"{x:.2f},%.2f" for x in _x_positions([row.t for row in result.rows], t_min, t_max))
+    points = " ".join(f"{x:.2f},%.2f" for x in _x_positions(t, t_min, t_max))
     for metric in METRICS:
         color = _SERIES_COLORS[metric]
-        ys = tuple(_y_positions(result.column(metric)))
-        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{points % ys}"/>')
+        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{points}"/>')
 
     legend_x = _PLOT_RIGHT + 20.0
     for idx, metric in enumerate(METRICS):
@@ -286,6 +354,12 @@ def _format_value(value: float) -> str:
 
 def render_svg(result: SweepResult, path: str | Path) -> Path:
     """Write the sweep chart as SVG and return the path."""
+    return _write(sweep_svg(result), path)
+
+
+def _write(text: str, path: str | Path) -> Path:
+    if not isinstance(path, (str, PathLike)):
+        raise ValidationError(f"output path must be a string or path, got {type(path).__name__}")
     path = Path(path)
-    path.write_text(sweep_svg(result), encoding="utf-8", newline="")
+    path.write_text(text, encoding="utf-8", newline="")
     return path

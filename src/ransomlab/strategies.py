@@ -128,6 +128,8 @@ def rank_strategies(
     scenario's disinfection payoff. Weights must be nonnegative and sum to 1.
     Ties break by ascending complexity, then name.
     """
+    check_type(cat, StrategyCatalog, "catalog")
+    check_type(p, TraitProfile, "profile")
     weights = check_sequence(weights, "ranking weights")
     if len(weights) != 4:
         raise ValidationError(f"expected 4 ranking weights, got {len(weights)}")
@@ -155,6 +157,7 @@ def rank_strategies(
 
 def catalog_to_dict(cat: StrategyCatalog) -> dict:
     """JSON-ready document for a catalog."""
+    check_type(cat, StrategyCatalog, "catalog")
     return to_dict(cat)
 
 

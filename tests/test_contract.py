@@ -1,10 +1,16 @@
-"""Direct construction by introspection: every exported dataclass either works or raises ValidationError.
+"""Direct calls by introspection: every exported dataclass and public function either works or raises ValidationError.
 
 Each module's ``__all__`` is walked for dataclasses. Each one has a valid
 instance in ``VALID`` or a reason in ``OUTPUT_ONLY``, so a new type cannot
 skip the contract. Replacing any one field of a valid instance with a
 hostile value must raise :class:`ValidationError` or give an instance that
 hashes, which shows it stored nothing mutable.
+
+The ``__all__`` functions of ``games``, ``strategies`` and ``report`` each
+have a valid call in ``CALLS``. Replacing any one argument of that call with
+a hostile value must raise :class:`ValidationError` or return. The
+plain-number ``scoring.*_of`` formulas are not held to this: they are the
+sweep's per-point kernels and take numbers their callers have checked.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ransomlab
+from ransomlab import games, report, strategies
 from ransomlab.errors import ValidationError
 from ransomlab.games import BimatrixGame, Equilibrium, pd_game, pure_nash, ransom_game
 from ransomlab.ingest import ProfileDocument, parse_profile_document
@@ -133,3 +140,57 @@ _VALUES = st.recursive(
 @given(case=st.sampled_from(_CASES), value=_VALUES)
 def test_any_field_value_is_rejected_or_stored(case, value):
     _build_or_reject(*case, value)
+
+
+_PD = pd_game(5, 3, 1, 0)
+_PROFILE = _PROFILE_DOCUMENT.profile
+
+CALLS = {
+    games.ransom_game: (games.RANSOM_USER_DEFAULTS, games.RANSOM_VIRUS_DEFAULTS),
+    games.pd_game: (5, 3, 1, 0),
+    games.snowdrift_game: (4, 2),
+    games.pure_nash: (_PD,),
+    games.mixed_nash_2x2: (games.snowdrift_game(4, 2),),
+    games.dominant_strategies: (_PD,),
+    games.expected_payoffs: (_PD, (0.5, 0.5), (0.25, 0.75)),
+    games.replicator_step: (_PD, (0.5, 0.5), 0.1),
+    games.game_to_dict: (_PD,),
+    games.game_from_dict: (games.game_to_dict(_PD),),
+    strategies.default_catalog: (),
+    strategies.rank_strategies: (_CATALOG, _PROFILE, (0.4, 0.2, 0.2, 0.2)),
+    strategies.catalog_to_dict: (_CATALOG,),
+    strategies.catalog_from_dict: (strategies.catalog_to_dict(_CATALOG),),
+    report.compare_profiles: (_PROFILE, TraitProfile(a=90, b=60, c=90, d=100, e=10, f=15, g=25, h=60, i=75)),
+    report.sweep: (_SWEEP.spec,),
+    report.sweep_csv: (_SWEEP,),
+    report.sweep_svg: (_SWEEP,),
+    report.render_csv: (_SWEEP, "sweep.csv"),
+    report.render_svg: (_SWEEP, "sweep.svg"),
+}
+
+
+def _exported_functions() -> set:
+    found = set()
+    for module in (games, strategies, report):
+        for name in module.__all__:
+            value = getattr(module, name)
+            if callable(value) and not isinstance(value, type):
+                found.add(value)
+    return found
+
+
+def test_every_exported_function_has_a_valid_call():
+    assert _exported_functions() == set(CALLS)
+
+
+@pytest.mark.parametrize("function", CALLS, ids=lambda function: function.__name__)
+def test_every_argument_rejects_or_takes_each_hostile_value(function, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the writers' path argument may be a relative name
+    args = CALLS[function]
+    function(*args)
+    for k in range(len(args)):
+        for value in HOSTILE:
+            try:
+                function(*args[:k], value, *args[k + 1 :])
+            except ValidationError:
+                pass

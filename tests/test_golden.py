@@ -2,8 +2,10 @@
 
 The A=20 and C=90 digests were recorded from the implementation before sweep
 rows carried a ``ScoreSet``, and the G=0 and I=55.5 digests from the
-profile-per-point sweep before it became column-wise; any byte change to the
-CSV, the SVG or the CLI lines fails here, not only a change in shape or in a
+profile-per-point sweep before it became column-wise. The sliced A=20 digests
+(t = 50 alone, and t = 10..39) were recorded from the row-based sweep result
+before it stored columns; they cover the single-point chart and an axis other
+than 0..100. Any byte change to the CSV, the SVG or the CLI lines fails here, not only a change in shape or in a
 four-decimal spot value. The document digests were recorded from the
 hand-written per-type writers before one codec wrote every document; the
 catalog is hashed with sorted keys because its key order changed then.
@@ -19,7 +21,7 @@ import pytest
 from ransomlab.cli import main
 from ransomlab.games import game_to_dict, pd_game, ransom_game, snowdrift_game
 from ransomlab.ingest import load_network
-from ransomlab.report import SweepSpec, sweep, sweep_csv, sweep_svg
+from ransomlab.report import SweepResult, SweepSpec, sweep, sweep_csv, sweep_svg
 from ransomlab.simnet import network_to_dict
 from ransomlab.strategies import catalog_to_dict, default_catalog
 
@@ -39,6 +41,18 @@ SWEEP_DIGESTS = {
     ("I", 55.5): (
         "5ddd56299636325a5002f0c61c19d3d654f378a0fa355fee02cfadcf3ec9c15c",
         "2276c3f20aff8ff7674e321af44c60cad77ddd203ea514b579856d6b4bd08061",
+    ),
+}
+
+# A=20 results cut to the points t[lo:hi].
+SLICED_SWEEP_DIGESTS = {
+    (50, 51): (
+        "92d3601402a6db047d1d4a30c2a41fec3f67175ddf86c9ca8b2c3cb6044cb877",
+        "9ad79ac62abf3dad255e670711562ae7464da73d1be8affa8a8cc567e6b9f8e4",
+    ),
+    (10, 40): (
+        "896d853930d9381b75452dda36b0a7a939e59b01485266ca50132b091c561236",
+        "e55c49dd6fcb33ec14932cda67c7ee23ae8fd02ccabddb07192a0e76036a79ad",
     ),
 }
 
@@ -74,6 +88,14 @@ def _sha256(text: str) -> str:
 def test_sweep_files_match_golden_digests(fixed):
     result = sweep(SweepSpec(*fixed))
     assert (_sha256(sweep_csv(result)), _sha256(sweep_svg(result))) == SWEEP_DIGESTS[fixed]
+
+
+@pytest.mark.parametrize("bounds", SLICED_SWEEP_DIGESTS, ids=[f"t={lo}..{hi - 1}" for lo, hi in SLICED_SWEEP_DIGESTS])
+def test_sliced_sweep_files_match_golden_digests(bounds):
+    lo, hi = bounds
+    full = sweep(SweepSpec("A", 20))
+    result = SweepResult(full.spec, full.t[lo:hi], [column[lo:hi] for column in full.scores])
+    assert (_sha256(sweep_csv(result)), _sha256(sweep_svg(result))) == SLICED_SWEEP_DIGESTS[bounds]
 
 
 @pytest.mark.parametrize("argv", CLI_DIGESTS, ids=[" ".join(argv) for argv in CLI_DIGESTS])

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ransomlab import report
 from ransomlab.errors import ValidationError
 from ransomlab.report import (
     SweepResult,
+    SweepRow,
     SweepSpec,
     compare_profiles,
     render_csv,
@@ -131,6 +133,49 @@ def test_sweep_rows_match_the_scores_of_each_diagonal_profile(variable, value):
         assert repr(row.scores) == repr(expected)
 
 
+def _csv_per_row(result: SweepResult) -> str:
+    """The CSV as the sweep wrote it one row at a time: the oracle for the one-template body."""
+    lines = ["t,SPS,S,DP,DC"]
+    lines.extend("%d,%.4f,%.4f,%.4f,%.4f" % (row.t, *row.scores.values()) for row in result.rows)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(variable=st.sampled_from(VARIABLE_KEYS), value=fixed_values, ends=st.tuples(*[st.integers(0, 100)] * 2))
+def test_sweep_csv_matches_the_per_row_oracle(variable, value, ends):
+    full = sweep(SweepSpec(variable, value))
+    lo, hi = sorted(ends)
+    part = SweepResult(full.spec, full.t[lo : hi + 1], [column[lo : hi + 1] for column in full.scores])
+    for result in (full, part):
+        assert sweep_csv(result) == _csv_per_row(result)
+
+
+def test_sweep_result_stores_float_columns_and_derives_rows():
+    result = SweepResult(SweepSpec("A", 20), [0, 1], [[1, 2.5], (3, 4), [0, 0.0], [100, 99.0]])
+    assert result.t == (0, 1)
+    assert result.scores == ((1.0, 2.5), (3.0, 4.0), (0.0, 0.0), (100.0, 99.0))
+    assert all(type(x) is float for column in result.scores for x in column)
+    assert result.rows == (SweepRow(0, ScoreSet(1.0, 3.0, 0.0, 100.0)), SweepRow(1, ScoreSet(2.5, 4.0, 0.0, 99.0)))
+    assert result.column("DC") == [100.0, 99.0]
+    for metric in ("X", ["S"], None):
+        with pytest.raises(ValidationError, match="unknown metric"):
+            result.column(metric)
+
+
+def test_sweep_and_rendering_build_no_per_point_object(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a per-point object was built")
+
+    monkeypatch.setattr(report, "ScoreSet", refuse)
+    monkeypatch.setattr(report, "SweepRow", refuse)
+    for spec in (SweepSpec("C", 90), SweepSpec("H", 12.5)):
+        result = sweep(spec)
+        assert sweep_csv(result).count("\n") == 102
+        assert sweep_svg(result).count("<polyline") == 4
+    with pytest.raises(AssertionError, match="per-point"):
+        result.rows
+
+
 def test_fixing_b_changes_only_dp():
     b10 = sweep(SweepSpec("B", 10))
     b90 = sweep(SweepSpec("B", 90))
@@ -177,14 +222,14 @@ def test_svg_determinism_and_structure(tmp_path):
 
 def test_svg_of_a_single_point_result_centres_the_point():
     full = sweep(SweepSpec("A", 20))
-    svg = sweep_svg(SweepResult(spec=full.spec, rows=full.rows[50:51]))
+    svg = sweep_svg(SweepResult(spec=full.spec, t=full.t[50:51], scores=[column[50:51] for column in full.scores]))
     assert svg.count("<polyline") == 4
     assert 'points="350.00,' in svg
     assert svg.count(">50</text>") == 2  # the y-axis label 50 and the single x tick at t=50
 
 
 def test_rendering_rejects_empty_results(tmp_path):
-    empty = SweepResult(spec=SweepSpec("A", 20), rows=())
+    empty = SweepResult(spec=SweepSpec("A", 20), t=(), scores=((), (), (), ()))
     with pytest.raises(ValidationError):
         sweep_csv(empty)
     with pytest.raises(ValidationError):

@@ -149,8 +149,22 @@ BAD_CONSTRUCTIONS = {
     "equilibrium string value": lambda: Equilibrium((1.0,), (1.0,), 0.0, "1", "pure"),
     "expected payoffs none mix": lambda: expected_payoffs(ransom_game(), None, (0.5, 0.5)),
     "expected payoffs string mix": lambda: expected_payoffs(ransom_game(), ("a", "b"), (0.5, 0.5)),
-    "sweep result int row": lambda: sweep_csv(SweepResult(SweepSpec("A", 20), rows=(1,))),
-    "sweep result none rows": lambda: SweepResult(SweepSpec("A", 20), rows=None),
+    "sweep result int row": lambda: sweep_csv(SweepResult(SweepSpec("A", 20), (0,), (1, 2, 3, 4))),
+    "sweep result none rows": lambda: SweepResult(SweepSpec("A", 20), (0,), None),
+    "sweep result none t": lambda: SweepResult(SweepSpec("A", 20), None),
+    "sweep result huge t": lambda: SweepResult(SweepSpec("A", 20), (0, 10**400), ((1.0, 2.0),) * 4),
+    "sweep result float t": lambda: SweepResult(SweepSpec("A", 20), (0.0,), ((1.0,),) * 4),
+    "sweep result three columns": lambda: SweepResult(SweepSpec("A", 20), (0,), ((1.0,),) * 3),
+    "sweep result ragged column": lambda: sweep_csv(
+        SweepResult(SweepSpec("A", 20), (0, 1), ((1.0, 2.0), (1.0, 2.0), (1.0,), (1.0, 2.0)))
+    ),
+    "sweep result string score": lambda: sweep_csv(
+        SweepResult(SweepSpec("A", 20), (0,), ((1.0,), ("x",), (1.0,), (1.0,)))
+    ),
+    "sweep result none score": lambda: SweepResult(SweepSpec("A", 20), (0,), ((None,), (1.0,), (1.0,), (1.0,))),
+    "sweep result bool score": lambda: SweepResult(SweepSpec("A", 20), (0,), ((1.0,), (1.0,), (True,), (1.0,))),
+    "sweep result huge score": lambda: SweepResult(SweepSpec("A", 20), (0,), ((1.0,), (1.0,), (1.0,), (10**400,))),
+    "sweep result string column": lambda: SweepResult(SweepSpec("A", 20), (0,), ("a", (1.0,), (1.0,), (1.0,))),
     "sweep result none spec": lambda: SweepResult(None),
     "profile document int name": lambda: ProfileDocument(name=5, profile=_PROFILE),
     "profile document none profile": lambda: ProfileDocument("x", None),
@@ -165,7 +179,7 @@ BAD_CONSTRUCTIONS = {
     "sweep row string t": lambda: SweepRow("x", _SCORES),
     "sweep row bool t": lambda: SweepRow(True, _SCORES),
     "sweep row none scores": lambda: SweepRow(0, None),
-    "sweep csv of string row": lambda: sweep_csv(SweepResult(SweepSpec("A", 20), rows=(SweepRow("x", None),))),
+    "sweep csv of string row": lambda: sweep_csv(SweepResult(SweepSpec("A", 20), ("x",), ((None,),) * 4)),
 }
 
 
@@ -194,7 +208,8 @@ def test_well_typed_bad_values_keep_their_messages(message):
 def test_list_built_values_equal_and_hash_like_tuple_built():
     step = Step(description="scan", complexity=1)
     spec = SweepSpec("A", 20)
-    rows = sweep(spec).rows[:2]
+    result = sweep(spec)
+    t, scores = result.t[:2], tuple(column[:2] for column in result.scores)
 
     def strategy(steps):
         return Strategy(name="x", steps=steps, overall_complexity=1, effectiveness=Level.LOW, reinfection_risk=Level.LOW)
@@ -205,7 +220,7 @@ def test_list_built_values_equal_and_hash_like_tuple_built():
         (StrategyCatalog([strategy([step])]), StrategyCatalog((strategy((step,)),))),
         (BimatrixGame(["r"], ["c"], [[[1, 2]]]), BimatrixGame(("r",), ("c",), (((1.0, 2.0),),))),
         (Equilibrium([1.0], [1.0], 0.0, 0.0, "pure"), Equilibrium((1.0,), (1.0,), 0.0, 0.0, "pure")),
-        (SweepResult(spec, list(rows)), SweepResult(spec, rows)),
+        (SweepResult(spec, list(t), list(map(list, scores))), SweepResult(spec, t, scores)),
     ]
     for from_lists, from_tuples in pairs:
         assert from_lists == from_tuples
