@@ -9,54 +9,50 @@ The package mirrors its submodules:
 * :mod:`ransomlab.ingest` - strict JSON document loading.
 * :mod:`ransomlab.report` - profile comparisons, sweeps, CSV/SVG rendering.
 * :mod:`ransomlab.cli` - the ``ransomlab`` command.
+
+``import ransomlab`` loads no submodule. Each name in ``__all__``, and each
+submodule above but ``cli``, is imported on first access (PEP 562), so
+``ransomlab.TraitProfile`` loads only ``scoring`` and a ``ransomlab``
+command loads only the modules its subcommand runs.
 """
 
-from .errors import ValidationError
-from .games import BimatrixGame, Equilibrium
-from .ingest import ProfileDocument, load_catalog, load_network, load_profile
-from .report import SweepResult, SweepSpec, compare_profiles, sweep
-from .scoring import (
-    ScoreSet,
-    TraitProfile,
-    disinfection_payoff,
-    disinfection_probability,
-    score_all,
-    severity,
-    spreadability_score,
-)
-from .simnet import Host, CloudStore, Edge, Network, SimConfig, Trajectory
-from .strategies import Strategy, StrategyCatalog, default_catalog, rank_strategies
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ValidationError",
-    "BimatrixGame",
-    "Equilibrium",
-    "ProfileDocument",
-    "load_catalog",
-    "load_network",
-    "load_profile",
-    "SweepResult",
-    "SweepSpec",
-    "compare_profiles",
-    "sweep",
-    "ScoreSet",
-    "TraitProfile",
-    "disinfection_payoff",
-    "disinfection_probability",
-    "score_all",
-    "severity",
-    "spreadability_score",
-    "Host",
-    "CloudStore",
-    "Edge",
-    "Network",
-    "SimConfig",
-    "Trajectory",
-    "Strategy",
-    "StrategyCatalog",
-    "default_catalog",
-    "rank_strategies",
-    "__version__",
-]
+# Each submodule the package resolves, with the names it re-exports from it.
+_EXPORTS = {
+    "errors": ("ValidationError",),
+    "games": ("BimatrixGame", "Equilibrium"),
+    "ingest": ("ProfileDocument", "load_catalog", "load_network", "load_profile"),
+    "report": ("SweepResult", "SweepSpec", "compare_profiles", "sweep"),
+    "scoring": (
+        "ScoreSet",
+        "TraitProfile",
+        "disinfection_payoff",
+        "disinfection_probability",
+        "score_all",
+        "severity",
+        "spreadability_score",
+    ),
+    "simnet": ("Host", "CloudStore", "Edge", "Network", "SimConfig", "Trajectory"),
+    "strategies": ("Strategy", "StrategyCatalog", "default_catalog", "rank_strategies"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_OWNER, "__version__"]
+
+
+def __getattr__(name: str) -> object:
+    module = _OWNER.get(name, name)
+    if module not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

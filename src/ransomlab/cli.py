@@ -14,6 +14,9 @@ All scores print with four decimal places and identical invocations produce
 byte-identical output. Exit codes: 0 success, 2 usage or validation
 failure, 1 runtime failure (for example an unwritable output path). Every
 error path writes a single line starting with ``error:`` to stderr.
+
+Each handler imports the modules it runs, so a ``ransomlab`` process loads
+only what its subcommand needs.
 """
 
 from __future__ import annotations
@@ -21,13 +24,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import games, report, simnet
 from .errors import ValidationError
-from .ingest import load_network, load_profile, load_profile_document
-from .scoring import METRICS, score_all
-from .strategies import default_catalog, rank_strategies
+
+if TYPE_CHECKING:
+    from . import games
 
 __all__ = ["main", "build_parser"]
 
@@ -39,6 +41,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
+    from .ingest import load_profile
+    from .scoring import METRICS, score_all
+
     scores = dict(zip(METRICS, score_all(load_profile(args.profile)).values()))
     if args.json:
         print(json.dumps(scores))
@@ -48,6 +53,9 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from . import report
+    from .ingest import load_profile_document
+
     doc_a = load_profile_document(args.a)
     doc_b = load_profile_document(args.b)
     comparison = report.compare_profiles(doc_a.profile, doc_b.profile)
@@ -72,6 +80,8 @@ def _parse_fix(text: str) -> tuple[str, float]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from . import report
+
     var, value = _parse_fix(args.fix)
     result = report.sweep(report.SweepSpec(fixed_variable=var, fixed_value=value))
     if args.out:
@@ -95,6 +105,8 @@ def _parse_quad(text: str, what: str) -> tuple[float, float, float, float]:
 
 
 def _build_game(args: argparse.Namespace) -> games.BimatrixGame:
+    from . import games
+
     if args.kind == "ransom":
         user = _parse_quad(args.user, "--user") if args.user else games.RANSOM_USER_DEFAULTS
         virus = _parse_quad(args.virus, "--virus") if args.virus else games.RANSOM_VIRUS_DEFAULTS
@@ -105,6 +117,8 @@ def _build_game(args: argparse.Namespace) -> games.BimatrixGame:
 
 
 def _cmd_game(args: argparse.Namespace) -> int:
+    from . import games
+
     game = _build_game(args)
     if not args.solve:
         print(json.dumps(games.game_to_dict(game), indent=2))
@@ -128,6 +142,9 @@ def _cmd_game(args: argparse.Namespace) -> int:
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
+    from .ingest import load_profile
+    from .strategies import default_catalog, rank_strategies
+
     profile = load_profile(args.profile)
     weights = _parse_quad(args.weights, "--weights") if args.weights else (0.25, 0.25, 0.25, 0.25)
     ranking = rank_strategies(default_catalog(), profile, weights)
@@ -137,6 +154,9 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from . import simnet
+    from .ingest import load_network
+
     network = load_network(args.network)
     cfg = simnet.SimConfig(
         ticks=args.ticks,

@@ -6,6 +6,7 @@ import dataclasses
 import functools
 import re
 from enum import Enum
+from os import PathLike
 from typing import Collection, TypeVar, get_args, get_origin, get_type_hints
 
 EnumT = TypeVar("EnumT", bound=Enum)
@@ -41,6 +42,12 @@ def check_type(value: object, kind: type, what: str) -> None:
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         name = _KIND_NAMES.get(kind) or f"{'an' if kind.__name__[0] in 'AEIOU' else 'a'} {kind.__name__}"
         raise ValidationError(f"{what} must be {name}, got {type(value).__name__}")
+
+
+def check_path(path: object, what: str) -> None:
+    """Reject ``path`` unless it is a string or an ``os.PathLike``, the file paths a reader or writer takes."""
+    if not isinstance(path, (str, PathLike)):
+        raise ValidationError(f"{what} must be a string or path, got {type(path).__name__}")
 
 
 def check_sequence(items: object, what: str) -> tuple:

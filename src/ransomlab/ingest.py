@@ -16,11 +16,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .errors import ValidationError, check_keys, check_type
+from .errors import ValidationError, check_keys, check_path, check_type
 from .scoring import VARIABLE_KEYS, TraitProfile
-from .simnet import Network, network_from_dict
-from .strategies import StrategyCatalog, catalog_from_dict
+
+if TYPE_CHECKING:
+    from .simnet import Network
+    from .strategies import StrategyCatalog
 
 __all__ = [
     "ProfileDocument",
@@ -57,6 +60,7 @@ def parse_profile_document(data: dict) -> ProfileDocument:
 
 def profile_document_to_dict(doc: ProfileDocument) -> dict:
     """JSON-ready document for a named profile."""
+    check_type(doc, ProfileDocument, "profile document")
     p = doc.profile
     return {
         "name": doc.name,
@@ -66,6 +70,7 @@ def profile_document_to_dict(doc: ProfileDocument) -> dict:
 
 def load_json(path: str | Path) -> dict:
     """Read a UTF-8 JSON object from disk, reporting parse position on failure."""
+    check_path(path, "input path")
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -97,6 +102,7 @@ def _with_context(path: Path, fn, data: dict):
 
 def load_profile_document(path: str | Path) -> ProfileDocument:
     """Load a named profile document from disk."""
+    check_path(path, "input path")
     path = Path(path)
     return _with_context(path, parse_profile_document, load_json(path))
 
@@ -108,11 +114,17 @@ def load_profile(path: str | Path) -> TraitProfile:
 
 def load_catalog(path: str | Path) -> StrategyCatalog:
     """Load and validate a strategy catalog file."""
+    from .strategies import catalog_from_dict
+
+    check_path(path, "input path")
     path = Path(path)
     return _with_context(path, catalog_from_dict, load_json(path))
 
 
 def load_network(path: str | Path) -> Network:
     """Load and validate a network file."""
+    from .simnet import network_from_dict
+
+    check_path(path, "input path")
     path = Path(path)
     return _with_context(path, network_from_dict, load_json(path))

@@ -42,11 +42,10 @@ import functools
 import sys
 from dataclasses import dataclass
 from itertools import chain
-from os import PathLike
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import ValidationError, check_items, check_number, check_sequence, check_type
+from .errors import ValidationError, check_items, check_number, check_path, check_sequence, check_type
 from .scoring import (
     METRICS, VARIABLE_KEYS, ScoreSet, TraitProfile, disinfection_payoff_of, disinfection_probability_of, score_all,
     severity_of, spreadability_of,
@@ -358,8 +357,7 @@ def render_svg(result: SweepResult, path: str | Path) -> Path:
 
 
 def _write(text: str, path: str | Path) -> Path:
-    if not isinstance(path, (str, PathLike)):
-        raise ValidationError(f"output path must be a string or path, got {type(path).__name__}")
+    check_path(path, "output path")
     path = Path(path)
     path.write_text(text, encoding="utf-8", newline="")
     return path

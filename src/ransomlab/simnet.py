@@ -26,6 +26,12 @@ across configurations that share a seed.
 per-edge lists and run this schedule over them. :func:`step` spells the same
 schedule out over ``Network`` objects; it is the reference oracle the tests
 compare the compiled kernel against, draw for draw.
+
+The work of one :func:`run` or :func:`monte_carlo_f` call is capped before
+any draw: ``runs * ticks * (2 * edges + hosts + 1)`` may be at most
+:data:`WORK_CAP` (``runs`` is 1 for :func:`run`; the ``+ 1`` counts a tick
+on a network with no hosts or edges). A call over the cap raises
+:class:`ValidationError` naming the cap.
 """
 
 from __future__ import annotations
@@ -53,7 +59,11 @@ __all__ = [
     "trajectory_csv",
     "network_to_dict",
     "network_from_dict",
+    "WORK_CAP",
 ]
+
+# The most ``runs * ticks * (2 * edges + hosts + 1)`` one simulation call may schedule.
+WORK_CAP = 10**10
 
 from enum import Enum
 
@@ -199,6 +209,8 @@ def step(net: Network, cfg: SimConfig, rng: random.Random) -> Network:
     :func:`monte_carlo_f` use a compiled kernel that must agree with repeated
     ``step`` calls bit for bit, and the tests check that it does.
     """
+    _check_args(net, cfg)
+    check_type(rng, random.Random, "rng")
     states = {h.id: h.state for h in net.hosts}
     hosts_by_id = {h.id: h for h in net.hosts}
     contaminated_start = {c.id for c in net.clouds if c.contaminated}
@@ -322,6 +334,16 @@ class _Kernel:
         return 100.0 * len(ever) / n_hosts if n_hosts else 0.0
 
 
+def _check_args(net: Network, cfg: SimConfig) -> None:
+    check_type(net, Network, "network")
+    check_type(cfg, SimConfig, "config")
+
+
+def _check_work(net: Network, cfg: SimConfig, runs: int) -> None:
+    if runs * cfg.ticks * (2 * len(net.edges) + len(net.hosts) + 1) > WORK_CAP:
+        raise ValidationError(f"runs * ticks * (2 * edges + hosts + 1) must be at most the work cap {WORK_CAP}")
+
+
 def run(net: Network, cfg: SimConfig) -> Trajectory:
     """Simulate ``cfg.ticks`` ticks from ``cfg.seed`` and record per-tick counts.
 
@@ -329,6 +351,8 @@ def run(net: Network, cfg: SimConfig) -> Trajectory:
     ``cfg.ticks + 1`` entries. ``final_f`` is the percentage of hosts that
     were infected at any recorded tick (initially infected hosts included).
     """
+    _check_args(net, cfg)
+    _check_work(net, cfg, 1)
     counts: list[tuple[int, int, int, int]] = []
     final_f = _Kernel(net, cfg).run(cfg.seed, counts)
     return Trajectory(
@@ -345,8 +369,10 @@ def monte_carlo_f(net: Network, cfg: SimConfig, runs: int) -> MonteCarloSummary:
     aggregation is a plain commutative sum. Reports the population standard
     deviation (zero for a single run).
     """
+    _check_args(net, cfg)
     if not isinstance(runs, int) or isinstance(runs, bool) or runs < 1:
         raise ValidationError(f"runs must be a positive integer, got {runs!r}")
+    _check_work(net, cfg, runs)
     kernel = _Kernel(net, cfg)
     final_fs = tuple(kernel.run(cfg.seed + i) for i in range(runs))
     mean = sum(final_fs) / runs
@@ -356,6 +382,7 @@ def monte_carlo_f(net: Network, cfg: SimConfig, runs: int) -> MonteCarloSummary:
 
 def trajectory_csv(traj: Trajectory) -> str:
     """CSV export with header ``tick,susceptible,infected,cleaned,contaminated_clouds``."""
+    check_type(traj, Trajectory, "trajectory")
     lines = ["tick,susceptible,infected,cleaned,contaminated_clouds"]
     for c in traj.counts:
         lines.append(f"{c.tick},{c.susceptible},{c.infected},{c.cleaned},{c.contaminated_clouds}")
@@ -364,6 +391,7 @@ def trajectory_csv(traj: Trajectory) -> str:
 
 def network_to_dict(net: Network) -> dict:
     """JSON-ready document for a network."""
+    check_type(net, Network, "network")
     return to_dict(net)
 
 

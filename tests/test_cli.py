@@ -263,3 +263,13 @@ def test_simulate_full_spread(capsys, sample_dir):
     )
     assert code == 0
     assert out == "mean_f=100.0000 stddev_f=0.0000\n"
+
+
+def test_simulate_over_the_work_cap_exits_2_before_running(capsys, sample_dir):
+    code, out, err = invoke(
+        capsys, "simulate", "--network", str(sample_dir / "ring8.json"), "--ticks", "15", "--p", "0.3",
+        "--seed", "1", "--runs", "1000000000000",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: runs * ticks * (2 * edges + hosts + 1) must be at most the work cap 10000000000\n"

@@ -6,11 +6,12 @@ skip the contract. Replacing any one field of a valid instance with a
 hostile value must raise :class:`ValidationError` or give an instance that
 hashes, which shows it stored nothing mutable.
 
-The ``__all__`` functions of ``games``, ``strategies`` and ``report`` each
-have a valid call in ``CALLS``. Replacing any one argument of that call with
-a hostile value must raise :class:`ValidationError` or return. The
-plain-number ``scoring.*_of`` formulas are not held to this: they are the
-sweep's per-point kernels and take numbers their callers have checked.
+The ``__all__`` functions of ``games``, ``strategies``, ``report``, ``ingest``
+and ``simnet`` each have a valid call in ``CALLS``. Replacing any one
+argument of that call with a hostile value must raise
+:class:`ValidationError` or return. ``scoring`` is not walked yet: its
+plain-number ``*_of`` formulas are the sweep's per-point kernels and take
+numbers their callers have checked, and ``score_all`` is on the triage path.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import importlib
 import json
 import math
 import pkgutil
+import random
 from pathlib import Path
 
 import pytest
@@ -27,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ransomlab
-from ransomlab import games, report, strategies
+from ransomlab import games, ingest, report, simnet, strategies
 from ransomlab.errors import ValidationError
 from ransomlab.games import BimatrixGame, Equilibrium, pd_game, pure_nash, ransom_game
 from ransomlab.ingest import ProfileDocument, parse_profile_document
@@ -48,8 +50,11 @@ def _document(path: Path) -> dict:
 # The document types come from the shipped documents, through their parsers.
 _NETWORK = network_from_dict(_document(REPO_ROOT / "sample_data" / "star4.json"))
 _CATALOG = catalog_from_dict(_document(REPO_ROOT / "src" / "ransomlab" / "data" / "default_catalog.json"))
-_PROFILE_DOCUMENT = parse_profile_document(_document(REPO_ROOT / "sample_data" / "company_a.json"))
+_COMPANY_A = REPO_ROOT / "sample_data" / "company_a.json"
+_PROFILE_DOCUMENT = parse_profile_document(_document(_COMPANY_A))
 _SWEEP = sweep(SweepSpec("A", 20))
+
+_CONFIG = SimConfig(ticks=5, base_infection_prob=0.5, clean_prob_per_tick=0.1, reinfection_allowed=True, seed=1)
 
 VALID = {
     Host: _NETWORK.hosts[0],
@@ -63,7 +68,7 @@ VALID = {
     TraitProfile: _PROFILE_DOCUMENT.profile,
     BimatrixGame: ransom_game(),
     Equilibrium: pure_nash(pd_game(5, 3, 1, 0))[0],
-    SimConfig: SimConfig(ticks=5, base_infection_prob=0.5, clean_prob_per_tick=0.1, reinfection_allowed=True, seed=1),
+    SimConfig: _CONFIG,
     SweepSpec: _SWEEP.spec,
     SweepRow: _SWEEP.rows[1],
     SweepResult: _SWEEP,
@@ -166,12 +171,25 @@ CALLS = {
     report.sweep_svg: (_SWEEP,),
     report.render_csv: (_SWEEP, "sweep.csv"),
     report.render_svg: (_SWEEP, "sweep.svg"),
+    ingest.parse_profile_document: (_document(_COMPANY_A),),
+    ingest.profile_document_to_dict: (_PROFILE_DOCUMENT,),
+    ingest.load_json: (_COMPANY_A,),
+    ingest.load_profile_document: (_COMPANY_A,),
+    ingest.load_profile: (_COMPANY_A,),
+    ingest.load_catalog: (REPO_ROOT / "src" / "ransomlab" / "data" / "default_catalog.json",),
+    ingest.load_network: (REPO_ROOT / "sample_data" / "star4.json",),
+    simnet.step: (_NETWORK, _CONFIG, random.Random(1)),
+    simnet.run: (_NETWORK, _CONFIG),
+    simnet.monte_carlo_f: (_NETWORK, _CONFIG, 3),  # HOSTILE's 10**400 runs is over the work cap
+    simnet.trajectory_csv: (simnet.run(_NETWORK, _CONFIG),),
+    simnet.network_to_dict: (_NETWORK,),
+    simnet.network_from_dict: (simnet.network_to_dict(_NETWORK),),
 }
 
 
 def _exported_functions() -> set:
     found = set()
-    for module in (games, strategies, report):
+    for module in (games, strategies, report, ingest, simnet):
         for name in module.__all__:
             value = getattr(module, name)
             if callable(value) and not isinstance(value, type):

@@ -6,6 +6,7 @@ import pytest
 
 from ransomlab.errors import ValidationError
 from ransomlab.simnet import (
+    WORK_CAP,
     CloudStore,
     Edge,
     Host,
@@ -15,6 +16,7 @@ from ransomlab.simnet import (
     monte_carlo_f,
     network_from_dict,
     network_to_dict,
+    _check_work,
     run,
     step,
     trajectory_csv,
@@ -317,6 +319,33 @@ def test_monte_carlo_two_base_seeds_statistically_consistent():
 def test_monte_carlo_rejects_zero_runs():
     with pytest.raises(ValidationError):
         monte_carlo_f(star(2), cfg(), runs=0)
+
+
+# -- work cap: checked through validation only, no test starts a run near it ----
+
+
+def test_work_cap_admits_exactly_the_cap():
+    empty = Network(hosts=(), clouds=(), edges=())  # one slot per tick: the "+ 1"
+    _check_work(empty, cfg(ticks=WORK_CAP), 1)
+    _check_work(star(2), cfg(ticks=WORK_CAP // 7), 1)  # 2 * 2 edges + 2 hosts + 1 = 7 slots a tick
+    with pytest.raises(ValidationError, match=f"work cap {WORK_CAP}"):
+        _check_work(empty, cfg(ticks=WORK_CAP), 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: monte_carlo_f(star(2), cfg(ticks=10), runs=10**400),
+        lambda: monte_carlo_f(star(2), cfg(ticks=WORK_CAP // 7), runs=2),
+        lambda: run(star(2), cfg(ticks=WORK_CAP // 7 + 1)),
+        lambda: run(Network(hosts=(), clouds=(), edges=()), cfg(ticks=10**400)),
+    ],
+    ids=["runs", "runs-times-ticks", "run-ticks", "empty-network"],
+)
+def test_calls_over_the_work_cap_raise_before_any_draw(call):
+    with pytest.raises(ValidationError, match=f"work cap {WORK_CAP}"):
+        call()
+
 
 
 # -- serialization ----------------------------------------------------------------
