@@ -18,7 +18,8 @@ profile functions delegate to them after their checks, and the report's
 sweep maps them over whole columns, so both run the same float operations
 in the same order.
 
-All functions are pure and thread-safe. Out-of-range inputs raise
+All functions are pure and thread-safe. Out-of-range inputs, and anything
+but a :class:`TraitProfile` where a profile is taken, raise
 :class:`ValidationError`; nothing is clamped silently.
 """
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from operator import attrgetter
 
-from .errors import ValidationError, check_number
+from .errors import ValidationError, check_number, check_type
 
 __all__ = [
     "TraitProfile",
@@ -130,6 +131,8 @@ def disinfection_payoff_of(c: float, s: float) -> float:
 
 def spreadability_score(p: TraitProfile) -> float:
     """Spreadability score: ``0.7 * (100 - A) + 0.3 * F``."""
+    if type(p) is not TraitProfile:  # an exact-type test first, so a profile skips the call
+        check_type(p, TraitProfile, "profile")
     return spreadability_of(p.a, p.f)
 
 
@@ -140,6 +143,8 @@ def severity(p: TraitProfile) -> float:
     as designed, even though more disinfection options might intuitively
     be expected to lower severity.
     """
+    if type(p) is not TraitProfile:
+        check_type(p, TraitProfile, "profile")
     if p.g <= 0:
         raise ValidationError(f"severity requires G > 0, got {p.g}")
     return severity_of(p.c, p.e, p.f, spreadability_of(p.a, p.f), p.g)
@@ -147,6 +152,8 @@ def severity(p: TraitProfile) -> float:
 
 def disinfection_probability(p: TraitProfile) -> float:
     """Probability of a successful cleanup, per the weighted-sum model."""
+    if type(p) is not TraitProfile:
+        check_type(p, TraitProfile, "profile")
     return disinfection_probability_of(p.a, p.b, p.e, p.f, p.h, p.i)
 
 
@@ -171,10 +178,10 @@ def disinfection_payoff(c: float, s: float) -> float:
 
 def score_all(p: TraitProfile) -> ScoreSet:
     """Compute all four scores; the payoff uses ``p.c`` and the computed severity."""
-    s = severity(p)
+    s = severity(p)  # checks p, so the other scores take its fields through the plain-number formulas
     return ScoreSet(
-        sps=spreadability_score(p),
+        sps=spreadability_of(p.a, p.f),
         severity=s,
-        disinfection_probability=disinfection_probability(p),
+        disinfection_probability=disinfection_probability_of(p.a, p.b, p.e, p.f, p.h, p.i),
         disinfection_payoff=disinfection_payoff(p.c, s),
     )

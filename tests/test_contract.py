@@ -6,12 +6,12 @@ skip the contract. Replacing any one field of a valid instance with a
 hostile value must raise :class:`ValidationError` or give an instance that
 hashes, which shows it stored nothing mutable.
 
-The ``__all__`` functions of ``games``, ``strategies``, ``report``, ``ingest``
-and ``simnet`` each have a valid call in ``CALLS``. Replacing any one
-argument of that call with a hostile value must raise
-:class:`ValidationError` or return. ``scoring`` is not walked yet: its
-plain-number ``*_of`` formulas are the sweep's per-point kernels and take
-numbers their callers have checked, and ``score_all`` is on the triage path.
+The ``__all__`` functions of ``scoring``, ``games``, ``strategies``,
+``report``, ``ingest`` and ``simnet`` each have a valid call in ``CALLS``.
+Replacing any one argument of that call with a hostile value must raise
+:class:`ValidationError` or return. Only ``scoring``'s plain-number ``*_of``
+formulas are exempt (``UNCHECKED``): they are the sweep's per-point kernels
+and take numbers their callers have checked.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ransomlab
-from ransomlab import games, ingest, report, simnet, strategies
+from ransomlab import games, ingest, report, scoring, simnet, strategies
 from ransomlab.errors import ValidationError
 from ransomlab.games import BimatrixGame, Equilibrium, pd_game, pure_nash, ransom_game
 from ransomlab.ingest import ProfileDocument, parse_profile_document
@@ -151,6 +151,11 @@ _PD = pd_game(5, 3, 1, 0)
 _PROFILE = _PROFILE_DOCUMENT.profile
 
 CALLS = {
+    scoring.spreadability_score: (_PROFILE,),
+    scoring.severity: (_PROFILE,),
+    scoring.disinfection_probability: (_PROFILE,),
+    scoring.disinfection_payoff: (25, 60),
+    scoring.score_all: (_PROFILE,),
     games.ransom_game: (games.RANSOM_USER_DEFAULTS, games.RANSOM_VIRUS_DEFAULTS),
     games.pd_game: (5, 3, 1, 0),
     games.snowdrift_game: (4, 2),
@@ -187,9 +192,18 @@ CALLS = {
 }
 
 
+# The plain-number formulas: the sweep maps them over columns it has already validated.
+UNCHECKED = {
+    scoring.spreadability_of,
+    scoring.severity_of,
+    scoring.disinfection_probability_of,
+    scoring.disinfection_payoff_of,
+}
+
+
 def _exported_functions() -> set:
     found = set()
-    for module in (games, strategies, report, ingest, simnet):
+    for module in (scoring, games, strategies, report, ingest, simnet):
         for name in module.__all__:
             value = getattr(module, name)
             if callable(value) and not isinstance(value, type):
@@ -198,7 +212,8 @@ def _exported_functions() -> set:
 
 
 def test_every_exported_function_has_a_valid_call():
-    assert _exported_functions() == set(CALLS)
+    assert UNCHECKED <= _exported_functions()
+    assert _exported_functions() - UNCHECKED == set(CALLS)
 
 
 @pytest.mark.parametrize("function", CALLS, ids=lambda function: function.__name__)

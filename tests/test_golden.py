@@ -9,6 +9,9 @@ than 0..100. Any byte change to the CSV, the SVG or the CLI lines fails here, no
 four-decimal spot value. The document digests were recorded from the
 hand-written per-type writers before one codec wrote every document; the
 catalog is hashed with sorted keys because its key order changed then.
+The simulator digests (``simulate`` stdout and ``trajectory_csv`` of one
+``run``) were recorded from the kernel that compared every phase's draws
+each tick, before a phase that cannot change state skipped its comparisons.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from ransomlab.cli import main
 from ransomlab.games import game_to_dict, pd_game, ransom_game, snowdrift_game
 from ransomlab.ingest import load_network
 from ransomlab.report import SweepResult, SweepSpec, sweep, sweep_csv, sweep_svg
-from ransomlab.simnet import network_to_dict
+from ransomlab.simnet import SimConfig, network_to_dict, run, trajectory_csv
 from ransomlab.strategies import catalog_to_dict, default_catalog
 
 SWEEP_DIGESTS = {
@@ -79,6 +82,43 @@ GAME_DIGESTS = {
 
 CATALOG_SORTED_DIGEST = "94962e714365902b15f942753b22d1a8f8d4950c93521650605a2c113fd5c1f7"
 
+# (network, clean, reinfect) -> digests of `simulate --ticks 20 --p 0.3 --seed 7 --runs 200` stdout and of
+# trajectory_csv(run(...)) with the same configuration.
+SIMULATE_DIGESTS = {
+    ("ring8.json", 0.0, False): (
+        "01bd628862aadb25a93623ea8d0cb50a7af4636e920795df6702d9e290aff413",
+        "ad0f160be20254cd3dd7c2636988e4b41426fbb63dd67723417b963395d4ebf9",
+    ),
+    ("ring8.json", 0.0, True): (
+        "01bd628862aadb25a93623ea8d0cb50a7af4636e920795df6702d9e290aff413",
+        "ad0f160be20254cd3dd7c2636988e4b41426fbb63dd67723417b963395d4ebf9",
+    ),
+    ("ring8.json", 0.2, False): (
+        "06dc2eb5641e4b1df3129921aab334f92a1e99c34d8bd6701890fb5cff2102e3",
+        "03359cda00ebb285c13bb394fda1dffb922881dfa693300e40505f7de4cba3aa",
+    ),
+    ("ring8.json", 0.2, True): (
+        "0332dca6ba80272373301aebaaa22785fc7b06311d4f625ce473ea5981d0f703",
+        "9124206fbae2f796f2c4a3499606289e0fe339b34f11fe8478637062e0b830f4",
+    ),
+    ("star4.json", 0.0, False): (
+        "25eab7c81ace158636eee333f620496a0e88259d4b25babbd98b304a3d4540bb",
+        "bd51b5718f654d91f2c796b7a389d6e4c5dd9fa13acf14f61e69ca8a5b9460ae",
+    ),
+    ("star4.json", 0.0, True): (
+        "25eab7c81ace158636eee333f620496a0e88259d4b25babbd98b304a3d4540bb",
+        "bd51b5718f654d91f2c796b7a389d6e4c5dd9fa13acf14f61e69ca8a5b9460ae",
+    ),
+    ("star4.json", 0.2, False): (
+        "25eab7c81ace158636eee333f620496a0e88259d4b25babbd98b304a3d4540bb",
+        "8565f43efb256bc6e0c04d40626042e5818b75695ea6bff7e06e410d73b55697",
+    ),
+    ("star4.json", 0.2, True): (
+        "25eab7c81ace158636eee333f620496a0e88259d4b25babbd98b304a3d4540bb",
+        "42375200cdcf3da3f87cef284236cb85f174495bdc4f1dabd3d36c77959d4808",
+    ),
+}
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -122,3 +162,20 @@ def test_game_documents_match_golden_digests(name):
 def test_catalog_document_matches_golden_digest():
     doc = catalog_to_dict(default_catalog())
     assert _sha256(json.dumps(doc, indent=2, sort_keys=True)) == CATALOG_SORTED_DIGEST
+
+
+@pytest.mark.parametrize(
+    "case",
+    SIMULATE_DIGESTS,
+    ids=[f"{name} clean={clean} reinfect={reinfect}" for name, clean, reinfect in SIMULATE_DIGESTS],
+)
+def test_simulate_output_and_trajectory_match_golden_digests(case, capsys, sample_dir):
+    name, clean, reinfect = case
+    argv = ["simulate", "--network", str(sample_dir / name), "--ticks", "20", "--p", "0.3", "--seed", "7"]
+    argv += ["--runs", "200", "--clean", str(clean)] + (["--reinfect"] if reinfect else [])
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    cfg = SimConfig(ticks=20, base_infection_prob=0.3, clean_prob_per_tick=clean, reinfection_allowed=reinfect, seed=7)
+    csv = trajectory_csv(run(load_network(sample_dir / name), cfg))
+    assert (_sha256(captured.out), _sha256(csv)) == SIMULATE_DIGESTS[case]

@@ -5,6 +5,11 @@ Every trajectory ``run`` returns must equal the one built by iterating
 ``step`` from the same seed, count for count and bit for bit in ``final_f``,
 on networks whose hosts and edges come in any order and whose ids are not
 contiguous.
+
+A phase that cannot change state takes its draws with one ``getrandbits``
+call instead of comparing them. The tests force each such case, and check
+that every run leaves its generator where the documented ``random()`` calls
+would.
 """
 
 from __future__ import annotations
@@ -130,7 +135,12 @@ def test_run_equals_iterated_step_on_a_larger_shuffled_network():
         cfg = SimConfig(
             ticks=25, base_infection_prob=0.4, clean_prob_per_tick=0.1, reinfection_allowed=reinfection, seed=11
         )
-        assert run(net, cfg) == reference(net, cfg)
+        traj = run(net, cfg)
+        assert traj == reference(net, cfg)
+        # Every cloud is contaminated mid-run; from then on phase 1 skips its draws each tick.
+        saturated = [c.contaminated_clouds for c in traj.counts].index(len(cloud_ids))
+        assert 0 < saturated < cfg.ticks - 5
+        assert _skipped_phases(net, cfg).count(1) == cfg.ticks - saturated
 
 
 # Other groupings of step()'s threshold product, each a plausible way to
@@ -214,17 +224,138 @@ def test_raising_p_never_shrinks_the_ever_infected_share(net, cfg, lo, hi):
     assert all(a <= b for a, b in zip(ever_lo, ever_hi))
 
 
+def _documented_draws(net: Network, cfg: SimConfig) -> int:
+    return cfg.ticks * (2 * len(net.edges) + len(net.hosts))
+
+
 @settings(deadline=None)
 @given(net=networks(), cfg=configs, runs=st.integers(1, 3))
 def test_monte_carlo_makes_exactly_the_documented_draws(net, cfg, runs):
+    # A phase that cannot change state takes its n draws as one getrandbits(64 * n).
     draws = []
 
     class CountingRandom(random.Random):
         def random(self):
-            draws.append(None)
+            draws.append(1)
             return super().random()
+
+        def getrandbits(self, k):
+            assert k % 64 == 0
+            draws.append(k // 64)
+            return super().getrandbits(k)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simnet.random, "Random", CountingRandom)
         monte_carlo_f(net, cfg, runs)
-    assert len(draws) == runs * cfg.ticks * (2 * len(net.edges) + len(net.hosts))
+    assert sum(draws) == runs * _documented_draws(net, cfg)
+
+
+@settings(deadline=None)
+@given(net=networks(), cfg=configs, runs=st.integers(1, 3))
+def test_each_run_leaves_its_generator_where_the_documented_random_calls_do(net, cfg, runs):
+    made = []
+
+    class CapturedRandom(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simnet.random, "Random", CapturedRandom)
+        monte_carlo_f(net, cfg, runs)
+    assert len(made) == runs
+    for i, rng in enumerate(made):
+        expected = random.Random(cfg.seed + i)
+        for _ in range(_documented_draws(net, cfg)):
+            expected.random()
+        assert rng.getstate() == expected.getstate()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 6000])
+@pytest.mark.parametrize("seed", [0, 1, 7, -3, 2**40])
+def test_getrandbits_of_64n_bits_advances_the_generator_as_n_random_calls(seed, n):
+    # The kernel's phase skip rests on this property of CPython's Mersenne Twister.
+    drawn, skipped = random.Random(seed), random.Random(seed)
+    for _ in range(n):
+        drawn.random()
+    skipped.getrandbits(64 * n)
+    assert skipped.getstate() == drawn.getstate()
+    assert skipped.random() == drawn.random()
+
+
+def _skip_network(states: str, contaminated: str) -> Network:
+    """Hosts in ``states`` (S/I/C per host) on the clouds flagged in ``contaminated``
+    (0/1 per cloud), each host on two random clouds."""
+    rng = random.Random(0)
+    state = {"S": HostState.SUSCEPTIBLE, "I": HostState.INFECTED, "C": HostState.CLEANED}
+    hosts = tuple(
+        Host(id=i, state=state[code], awareness=rng.randint(0, 100), protection=rng.randint(0, 80))
+        for i, code in enumerate(states)
+    )
+    clouds = tuple(CloudStore(id=j, contaminated=flag == "1") for j, flag in enumerate(contaminated))
+    edges = tuple(
+        Edge(host=i, cloud=j, prob=rng.uniform(0.2, 0.9))
+        for i in range(len(hosts))
+        for j in rng.sample(range(len(clouds)), 2)
+    )
+    return Network(hosts=hosts, clouds=clouds, edges=edges)
+
+
+def _config(clean: float = 0.2, reinfect: bool = False) -> SimConfig:
+    return SimConfig(ticks=15, base_infection_prob=0.5, clean_prob_per_tick=clean, reinfection_allowed=reinfect, seed=0)
+
+
+# Networks and configurations that put the kernel in each case where a phase
+# cannot change state, with the phases (1, 2, 3) that case must skip.
+SKIP_CASES = {
+    "every cloud contaminated": (_skip_network("ISSSSISSSSCS", "1111"), _config(), {1}),
+    "no infected host": (_skip_network("SSSSSSSSCSSS", "0010"), _config(reinfect=True), {1, 3}),
+    "no infected host, no contaminated cloud": (_skip_network("SSSSSSSSCSSS", "0000"), _config(), {1, 2, 3}),
+    "no contaminated cloud": (_skip_network("SSISSSSSSSSI", "0000"), _config(), {2}),
+    "no eligible host, reinfection off": (_skip_network("ICICCIIICCII", "0101"), _config(reinfect=False), {2}),
+    # The same hosts with reinfection on are eligible: phase 2 runs, so nothing need be skipped.
+    "cleaned hosts eligible, reinfection on": (_skip_network("ICICCIIICCII", "0101"), _config(reinfect=True), set()),
+    "no cleaning": (_skip_network("SSISSSCSSSSI", "0100"), _config(clean=0.0, reinfect=True), {3}),
+}
+
+
+def _skipped_phases(net: Network, cfg: SimConfig) -> list[int]:
+    """Run ``net`` and return the phase (1, 2 or 3) of every skip the kernel made, in order.
+
+    A skip's phase follows from how many draws came before it in its tick.
+    """
+    n_edges, per_tick = len(net.edges), 2 * len(net.edges) + len(net.hosts)
+    drawn = 0
+    phases = []
+
+    class SkipRecordingRandom(random.Random):
+        def random(self):
+            nonlocal drawn
+            drawn += 1
+            return super().random()
+
+        def getrandbits(self, k):
+            nonlocal drawn
+            at = drawn % per_tick
+            phases.append(1 if at < n_edges else 2 if at < 2 * n_edges else 3)
+            drawn += k // 64
+            return super().getrandbits(k)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simnet.random, "Random", SkipRecordingRandom)
+        run(net, cfg)
+    return phases
+
+
+@pytest.mark.parametrize("case", SKIP_CASES)
+def test_run_equals_iterated_step_when_a_phase_cannot_change_state(case):
+    net, cfg, skipped = SKIP_CASES[case]
+    assert skipped <= set(_skipped_phases(net, cfg))
+    for seed in range(5):
+        cfg = replace(cfg, seed=seed)
+        traj = run(net, cfg)
+        expected = reference(net, cfg)
+        assert traj == expected
+        assert traj.final_f.hex() == expected.final_f.hex()
+        assert monte_carlo_f(net, cfg, 2).final_fs == (traj.final_f, run(net, replace(cfg, seed=seed + 1)).final_f)
+
