@@ -131,8 +131,7 @@ def disinfection_payoff_of(c: float, s: float) -> float:
 
 def spreadability_score(p: TraitProfile) -> float:
     """Spreadability score: ``0.7 * (100 - A) + 0.3 * F``."""
-    if type(p) is not TraitProfile:  # an exact-type test first, so a profile skips the call
-        check_type(p, TraitProfile, "profile")
+    check_type(p, TraitProfile, "profile")
     return spreadability_of(p.a, p.f)
 
 
@@ -143,8 +142,7 @@ def severity(p: TraitProfile) -> float:
     as designed, even though more disinfection options might intuitively
     be expected to lower severity.
     """
-    if type(p) is not TraitProfile:
-        check_type(p, TraitProfile, "profile")
+    check_type(p, TraitProfile, "profile")
     if p.g <= 0:
         raise ValidationError(f"severity requires G > 0, got {p.g}")
     return severity_of(p.c, p.e, p.f, spreadability_of(p.a, p.f), p.g)
@@ -152,8 +150,7 @@ def severity(p: TraitProfile) -> float:
 
 def disinfection_probability(p: TraitProfile) -> float:
     """Probability of a successful cleanup, per the weighted-sum model."""
-    if type(p) is not TraitProfile:
-        check_type(p, TraitProfile, "profile")
+    check_type(p, TraitProfile, "profile")
     return disinfection_probability_of(p.a, p.b, p.e, p.f, p.h, p.i)
 
 
@@ -178,10 +175,10 @@ def disinfection_payoff(c: float, s: float) -> float:
 
 def score_all(p: TraitProfile) -> ScoreSet:
     """Compute all four scores; the payoff uses ``p.c`` and the computed severity."""
-    s = severity(p)  # checks p, so the other scores take its fields through the plain-number formulas
+    s = severity(p)
     return ScoreSet(
-        sps=spreadability_of(p.a, p.f),
+        sps=spreadability_score(p),
         severity=s,
-        disinfection_probability=disinfection_probability_of(p.a, p.b, p.e, p.f, p.h, p.i),
+        disinfection_probability=disinfection_probability(p),
         disinfection_payoff=disinfection_payoff(p.c, s),
     )

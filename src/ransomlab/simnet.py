@@ -20,12 +20,11 @@ runs are bit-reproducible and probability dominance is testable per draw:
 
 Draws are consumed for every edge and host even when the outcome cannot
 apply (the threshold is then zero), which keeps the draw sequence aligned
-across configurations that share a seed. A phase that cannot change state
-this tick (phase 1 when every cloud is contaminated or no host is infected,
-phase 2 when no cloud is contaminated or no host is eligible, phase 3 when
-no host is infected or ``clean_prob_per_tick`` is 0) consumes the same
-draws through one ``getrandbits(64 * n)`` call, which advances the Mersenne
-Twister by exactly the words of ``n`` ``random()`` calls, and compares none.
+across configurations that share a seed. When phase 1 cannot change state
+(every cloud is contaminated or no host is infected) the compiled kernel
+consumes its draws through one ``getrandbits(64 * n)`` call, which advances
+the Mersenne Twister by exactly the words of ``n`` ``random()`` calls, and
+compares none.
 
 :func:`run` and :func:`monte_carlo_f` flatten the network once per call into
 per-edge lists and run this schedule over them. :func:`step` spells the same
@@ -273,9 +272,9 @@ class _Kernel:
     :func:`step`, as flat per-edge lists of host index, cloud index, ``prob``
     and phase-2 threshold. Each run keeps host states (``_S``/``_I``/``_C``)
     and cloud contamination in a ``bytearray`` and makes exactly the draws of
-    :func:`step`, in the same order. Each tick it tests each phase with a
-    C-level ``in`` on those arrays: a phase that can change state makes
-    :func:`step`'s comparisons, and one that cannot skips its draws with
+    :func:`step`, in the same order. Each tick it tests phase 1 with a
+    C-level ``in`` on those arrays: when no host is infected or every cloud
+    is contaminated, phase 1 cannot change state and skips its draws with
     ``getrandbits(64 * n)``, leaving the generator in the same state.
     """
 
@@ -317,36 +316,27 @@ class _Kernel:
                 counts.append((hosts.count(_S), hosts.count(_I), hosts.count(_C), clouds.count(1)))
             if tick == self.ticks:
                 break
-            # Each phase makes all of its draws before the next starts; a phase
-            # that cannot change state takes them in one getrandbits call.
-            infected = _I in hosts
-            contaminate = infect = cleaned = ()
-            if infected and 0 in clouds:
+            # Each phase makes all of its draws before the next starts; phase 1
+            # takes them in one getrandbits call when it cannot change state.
+            if _I in hosts and 0 in clouds:
                 contaminate = [
                     c
                     for h, c, prob, u in zip(edge_host, edge_cloud, edge_prob, starmap(draw, repeat((), n_edges)))
                     if u < prob and hosts[h] == _I
                 ]
             else:
+                contaminate = ()
                 skip(64 * n_edges)
-            if 1 in clouds and (_S in hosts or (eligible[_C] and _C in hosts)):
-                infect = [
-                    h
-                    for h, c, threshold, u in zip(
-                        edge_host, edge_cloud, edge_threshold, starmap(draw, repeat((), n_edges))
-                    )
-                    if u < threshold and clouds[c] and eligible[hosts[h]]
-                ]
-            else:
-                skip(64 * n_edges)
-            if infected and clean:
-                cleaned = [
-                    i
-                    for i, s, u in zip(range(n_hosts), hosts, starmap(draw, repeat((), n_hosts)))
-                    if u < clean and s == _I
-                ]
-            else:
-                skip(64 * n_hosts)
+            infect = [
+                h
+                for h, c, threshold, u in zip(edge_host, edge_cloud, edge_threshold, starmap(draw, repeat((), n_edges)))
+                if u < threshold and clouds[c] and eligible[hosts[h]]
+            ]
+            cleaned = [
+                i
+                for i, s, u in zip(range(n_hosts), hosts, starmap(draw, repeat((), n_hosts)))
+                if u < clean and s == _I
+            ]
             for c in contaminate:
                 clouds[c] = 1
             for i in cleaned:

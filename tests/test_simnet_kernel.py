@@ -6,10 +6,10 @@ Every trajectory ``run`` returns must equal the one built by iterating
 on networks whose hosts and edges come in any order and whose ids are not
 contiguous.
 
-A phase that cannot change state takes its draws with one ``getrandbits``
-call instead of comparing them. The tests force each such case, and check
-that every run leaves its generator where the documented ``random()`` calls
-would.
+When phase 1 cannot change state the kernel takes its draws with one
+``getrandbits`` call instead of comparing them. The tests force each such
+case, and check that every run leaves its generator where the documented
+``random()`` calls would.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ def test_run_equals_iterated_step_on_a_larger_shuffled_network():
         # Every cloud is contaminated mid-run; from then on phase 1 skips its draws each tick.
         saturated = [c.contaminated_clouds for c in traj.counts].index(len(cloud_ids))
         assert 0 < saturated < cfg.ticks - 5
-        assert _skipped_phases(net, cfg).count(1) == cfg.ticks - saturated
+        assert _skips(net, cfg) == [(tick, 1) for tick in range(saturated, cfg.ticks)]
 
 
 # Other groupings of step()'s threshold product, each a plausible way to
@@ -231,7 +231,7 @@ def _documented_draws(net: Network, cfg: SimConfig) -> int:
 @settings(deadline=None)
 @given(net=networks(), cfg=configs, runs=st.integers(1, 3))
 def test_monte_carlo_makes_exactly_the_documented_draws(net, cfg, runs):
-    # A phase that cannot change state takes its n draws as one getrandbits(64 * n).
+    # Phase 1, when it cannot change state, takes its n draws as one getrandbits(64 * n).
     draws = []
 
     class CountingRandom(random.Random):
@@ -305,28 +305,30 @@ def _config(clean: float = 0.2, reinfect: bool = False) -> SimConfig:
     return SimConfig(ticks=15, base_infection_prob=0.5, clean_prob_per_tick=clean, reinfection_allowed=reinfect, seed=0)
 
 
-# Networks and configurations that put the kernel in each case where a phase
-# cannot change state, with the phases (1, 2, 3) that case must skip.
+# Networks and configurations with the phases the kernel must skip on tick 0.
+# Phase 1 cannot change state when every cloud is contaminated or no host is
+# infected; phases 2 and 3 always compare their draws, as step() does.
 SKIP_CASES = {
     "every cloud contaminated": (_skip_network("ISSSSISSSSCS", "1111"), _config(), {1}),
-    "no infected host": (_skip_network("SSSSSSSSCSSS", "0010"), _config(reinfect=True), {1, 3}),
-    "no infected host, no contaminated cloud": (_skip_network("SSSSSSSSCSSS", "0000"), _config(), {1, 2, 3}),
-    "no contaminated cloud": (_skip_network("SSISSSSSSSSI", "0000"), _config(), {2}),
-    "no eligible host, reinfection off": (_skip_network("ICICCIIICCII", "0101"), _config(reinfect=False), {2}),
-    # The same hosts with reinfection on are eligible: phase 2 runs, so nothing need be skipped.
-    "cleaned hosts eligible, reinfection on": (_skip_network("ICICCIIICCII", "0101"), _config(reinfect=True), set()),
-    "no cleaning": (_skip_network("SSISSSCSSSSI", "0100"), _config(clean=0.0, reinfect=True), {3}),
+    "no infected host": (_skip_network("SSSSSSSSCSSS", "0010"), _config(reinfect=True), {1}),
+    # Phases 2 and 3 cannot change state either, yet run.
+    "no infected host, no contaminated cloud, no cleaning": (
+        _skip_network("SSSSSSSSCSSS", "0000"),
+        _config(clean=0.0),
+        {1},
+    ),
+    "an infected host and an uncontaminated cloud": (_skip_network("SSISSSSSSSSI", "0100"), _config(), set()),
 }
 
 
-def _skipped_phases(net: Network, cfg: SimConfig) -> list[int]:
-    """Run ``net`` and return the phase (1, 2 or 3) of every skip the kernel made, in order.
+def _skips(net: Network, cfg: SimConfig) -> list[tuple[int, int]]:
+    """Run ``net`` and return the (tick, phase) of every skip the kernel made, in order.
 
-    A skip's phase follows from how many draws came before it in its tick.
+    A skip's tick and phase follow from how many draws came before it.
     """
     n_edges, per_tick = len(net.edges), 2 * len(net.edges) + len(net.hosts)
     drawn = 0
-    phases = []
+    skips = []
 
     class SkipRecordingRandom(random.Random):
         def random(self):
@@ -336,21 +338,21 @@ def _skipped_phases(net: Network, cfg: SimConfig) -> list[int]:
 
         def getrandbits(self, k):
             nonlocal drawn
-            at = drawn % per_tick
-            phases.append(1 if at < n_edges else 2 if at < 2 * n_edges else 3)
+            tick, at = divmod(drawn, per_tick)
+            skips.append((tick, 1 if at < n_edges else 2 if at < 2 * n_edges else 3))
             drawn += k // 64
             return super().getrandbits(k)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simnet.random, "Random", SkipRecordingRandom)
         run(net, cfg)
-    return phases
+    return skips
 
 
 @pytest.mark.parametrize("case", SKIP_CASES)
-def test_run_equals_iterated_step_when_a_phase_cannot_change_state(case):
+def test_run_equals_iterated_step_when_phase_1_cannot_change_state(case):
     net, cfg, skipped = SKIP_CASES[case]
-    assert skipped <= set(_skipped_phases(net, cfg))
+    assert {phase for tick, phase in _skips(net, cfg) if tick == 0} == skipped
     for seed in range(5):
         cfg = replace(cfg, seed=seed)
         traj = run(net, cfg)
@@ -358,4 +360,3 @@ def test_run_equals_iterated_step_when_a_phase_cannot_change_state(case):
         assert traj == expected
         assert traj.final_f.hex() == expected.final_f.hex()
         assert monte_carlo_f(net, cfg, 2).final_fs == (traj.final_f, run(net, replace(cfg, seed=seed + 1)).final_f)
-
