@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import ValidationError, check_items, check_number, check_sequence, check_type, from_dict, to_dict
 
@@ -192,10 +193,14 @@ def _unit_mix(n: int, k: int) -> tuple[float, ...]:
     return (0.0,) * k + (1.0,) + (0.0,) * (n - k - 1)
 
 
+_row_payoff = itemgetter(0)
+_col_payoff = itemgetter(1)
+
+
 def _best_payoffs(g: BimatrixGame) -> tuple[list[float], list[float]]:
     """Each column's best row payoff and each row's best column payoff."""
-    col_best = [max(row_payoff for row_payoff, _ in column) for column in zip(*g.payoffs)]
-    row_best = [max(col_payoff for _, col_payoff in row) for row in g.payoffs]
+    col_best = [max(map(_row_payoff, column)) for column in zip(*g.payoffs)]
+    row_best = [max(map(_col_payoff, row)) for row in g.payoffs]
     return col_best, row_best
 
 

@@ -21,7 +21,11 @@ diagonal t, or the fixed value), and each score formula from
 every point derived from it lies in [0, 100] by construction, so no
 per-point :class:`~ransomlab.scoring.TraitProfile` is built. The formulas
 are the functions the profile scores delegate to, so each row equals the
-scores of its diagonal profile exactly.
+scores of its diagonal profile exactly. Every unfixed variable's column is
+one module-level object, so a formula none of whose input columns reads the
+fixed variable gives the same column in every sweep: that column is
+computed once per process and shared, and only the formulas that read the
+fixed variable are mapped.
 
 A :class:`SweepResult` stores columns: the points ``t`` and the four score
 columns in :data:`~ransomlab.scoring.METRICS` order. Its ``rows`` property
@@ -30,10 +34,14 @@ both renderers build no per-point object.
 
 Rendering is deterministic: fixed four-decimal CSV (LF line endings) and a
 hand-assembled 800x600 SVG with one polyline per metric; identical results
-produce byte-identical files. The CSV body is one template filled from a
-flat row-major cell list. Everything in the SVG but the title and the y
-values depends only on the t axis, so that frame is built once per axis and
-a few axes are kept.
+produce byte-identical files. Each renderer fills a template built once per
+t axis and set of shared score columns, and a bounded number are kept. The
+template holds every cell that depends only on those: the t cells, the
+SVG frame and each point's x, and the CSV cells and SVG y values of the
+shared columns. A column is shared only if it *is* the shared object;
+equality is not enough, as ``-0.0 == 0.0`` but the two format differently.
+So a call formats only the columns that read the fixed variable, and a
+:class:`SweepResult` built with its own columns has every value formatted.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ import functools
 import sys
 from dataclasses import dataclass
 from itertools import chain
+from operator import is_
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -173,33 +182,70 @@ def _score_column(column: object, metric: str, n: int) -> tuple[float, ...]:
 
 _POINTS = tuple(range(101))
 _DIAGONAL = tuple(map(float, _POINTS))
+_DIAGONAL_G = (1.0, *_DIAGONAL[1:])  # G floored at 1 where the diagonal is 0
+# Each unfixed variable's column, the same object in every sweep.
+_DIAGONAL_COLUMNS = dict.fromkeys(VARIABLE_KEYS, _DIAGONAL) | {"G": _DIAGONAL_G}
 
 
 def sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the four metrics at every point t = 0..100 of the sweep.
 
     Each variable is a column over t: the diagonal itself, or the fixed
-    value at every point, with G floored at 1. Each score formula is mapped
-    over those columns once, and the result stores the four score columns.
+    value at every point, with G floored at 1. Each score formula that reads
+    the fixed variable is mapped over those columns once; the other score
+    columns are shared by every sweep.
     """
     check_type(spec, SweepSpec, "sweep spec")
-    columns = dict.fromkeys(VARIABLE_KEYS, _DIAGONAL)
-    columns[spec.fixed_variable] = (float(spec.fixed_value),) * len(_POINTS)
-    columns["G"] = tuple(1.0 if g == 0.0 else g for g in columns["G"])
-    a, b, c, _, e, f, g, h, i = columns.values()
-    sps = tuple(map(spreadability_of, a, f))
-    scores = (
+    value = float(spec.fixed_value)
+    if spec.fixed_variable == "G" and value == 0.0:
+        value = 1.0
+    columns = dict(_DIAGONAL_COLUMNS)
+    columns[spec.fixed_variable] = (value,) * len(_POINTS)
+    return SweepResult(spec, _POINTS, _score_columns(columns.values(), _diagonal_scores()))
+
+
+def _score_columns(variables: Iterable[tuple[float, ...]], shared: tuple) -> tuple[tuple[float, ...], ...]:
+    """Map each score formula over the nine variable columns; return the score columns in :data:`METRICS` order.
+
+    A formula whose inputs are all shared columns (the diagonals, or columns
+    of ``shared``, the scores with no variable fixed) would map to the same
+    values every time, so its column is the one in ``shared``, by identity.
+    """
+    a, b, c, _, e, f, g, h, i = variables
+    shared_ids = {id(_DIAGONAL), id(_DIAGONAL_G), *map(id, shared)}
+
+    def mapped(k: int, formula, *inputs: tuple[float, ...]) -> tuple[float, ...]:
+        if shared and all(id(column) in shared_ids for column in inputs):
+            return shared[k]
+        return tuple(map(formula, *inputs))
+
+    sps = mapped(0, spreadability_of, a, f)
+    return (
         sps,
-        tuple(map(severity_of, c, e, f, sps, g)),
-        tuple(map(disinfection_probability_of, a, b, e, f, h, i)),
-        tuple(map(disinfection_payoff_of, c, _DIAGONAL)),
+        mapped(1, severity_of, c, e, f, sps, g),
+        mapped(2, disinfection_probability_of, a, b, e, f, h, i),
+        mapped(3, disinfection_payoff_of, c, _DIAGONAL),
     )
-    return SweepResult(spec, _POINTS, scores)
+
+
+@functools.cache
+def _diagonal_scores() -> tuple[tuple[float, ...], ...]:
+    """The score columns with every variable on its diagonal: the columns sweeps share, built on first use."""
+    return _score_columns(_DIAGONAL_COLUMNS.values(), ())
+
+
+def _split(result: SweepResult) -> tuple[tuple[bool, ...], list[tuple[float, ...]]]:
+    """Which of ``result``'s score columns are the shared ones, and the others.
+
+    Shared means the very object (``is``): ``-0.0 == 0.0``, but the two format differently.
+    """
+    shared = tuple(map(is_, result.scores, _diagonal_scores()))
+    return shared, [column for column, is_shared in zip(result.scores, shared) if not is_shared]
 
 
 _CSV_HEADER = ",".join(("t", *METRICS))
-_CSV_ROW = "%d" + ",%.4f" * len(METRICS)
-_CSV_WIDTH = 1 + len(METRICS)
+# Templates kept, one per t axis and set of shared columns; a full sweep has one axis and six sets.
+_TEMPLATES = 16
 
 
 def sweep_csv(result: SweepResult) -> str:
@@ -207,14 +253,25 @@ def sweep_csv(result: SweepResult) -> str:
     check_type(result, SweepResult, "sweep result")
     if not result.t:
         raise ValidationError("cannot render an empty sweep result")
-    # One flat row-major cell list, filled a column at a time, and one template for the whole body.
-    n = len(result.t)
-    cells = [None] * (n * _CSV_WIDTH)
-    cells[::_CSV_WIDTH] = result.t
-    for k, column in enumerate(result.scores, 1):
-        cells[k::_CSV_WIDTH] = column
-    body = "\n".join([_CSV_ROW] * n) % tuple(cells)
-    return f"{_CSV_HEADER}\n{body}\n"
+    # The template from _csv_template, filled from a flat row-major list of the cells not already in it.
+    shared, own = _split(result)
+    width = len(own)
+    cells = [None] * (len(result.t) * width)
+    for k, column in enumerate(own):
+        cells[k::width] = column
+    return _csv_template(result.t, shared) % tuple(cells)
+
+
+@functools.lru_cache(maxsize=_TEMPLATES)
+def _csv_template(t: tuple[int, ...], shared: tuple[bool, ...]) -> str:
+    """The CSV for one t axis as a template: ``%.4f`` for each cell of a column not shared.
+
+    The t cells and the shared columns' cells are already formatted.
+    """
+    fields = [["%d" % x for x in t]]
+    for is_shared, column in zip(shared, _diagonal_scores()):
+        fields.append(["%.4f" % x for x in column] if is_shared else ["%.4f"] * len(t))
+    return "\n".join((_CSV_HEADER, *map(",".join, zip(*fields)), ""))
 
 
 def render_csv(result: SweepResult, path: str | Path) -> Path:
@@ -234,8 +291,6 @@ _SERIES_COLORS = {
     "DP": "#2ca02c",
     "DC": "#9467bd",
 }
-# Chart frames kept, one per t axis; a full sweep always has the same axis.
-_SVG_FRAMES = 8
 
 
 def _x_positions(ts: Sequence[float], t_min: float, t_max: float) -> list[float]:
@@ -255,22 +310,25 @@ def sweep_svg(result: SweepResult) -> str:
     """SVG 1.1 line chart: four polylines, axes, gridlines, and a legend.
 
     Output bytes are a pure function of the sweep result. The frame comes
-    from :func:`_svg_frame`; each call fills in the title and the y values.
+    from :func:`_svg_frame`; each call fills in the title and the y values
+    of the series that are not shared.
     """
     check_type(result, SweepResult, "sweep result")
     if not result.t:
         raise ValidationError("cannot render an empty sweep result")
     spec = result.spec
     title = f"{spec.fixed_variable}={_format_value(spec.fixed_value)}"
-    return _svg_frame(result.t) % (title, *_y_positions(chain.from_iterable(result.scores)))
+    shared, own = _split(result)
+    return _svg_frame(result.t, shared) % (title, *_y_positions(chain.from_iterable(own)))
 
 
-@functools.lru_cache(maxsize=_SVG_FRAMES)
-def _svg_frame(t: tuple[int, ...]) -> str:
-    """The chart for one t axis as a template: ``%s`` for the title, then ``%.2f`` for each series' y values.
+@functools.lru_cache(maxsize=_TEMPLATES)
+def _svg_frame(t: tuple[int, ...], shared: tuple[bool, ...]) -> str:
+    """The chart for one t axis as a template: ``%s`` for the title, then ``%.2f`` for each y of a series not shared.
 
-    Everything but the title and the y values depends only on ``t``: the
-    header, gridlines, ticks, axes, labels, legend and each point's x.
+    Everything else depends only on ``t`` and the shared columns: the header,
+    gridlines, ticks, axes, labels, legend, each point's x and the shared
+    series' y values.
     """
     t_min = float(t[0])
     t_max = float(t[-1])
@@ -324,9 +382,11 @@ def _svg_frame(t: tuple[int, ...]) -> str:
         f'font-family="sans-serif" transform="rotate(-90 20 {(_PLOT_TOP + _PLOT_BOTTOM) / 2:.2f})">score</text>'
     )
 
-    # One points template for the four series: each x is formatted once, each series fills in its y column.
-    points = " ".join(f"{x:.2f},%.2f" for x in _x_positions(t, t_min, t_max))
-    for metric in METRICS:
+    # Each x is formatted once; a series not shared leaves its y values to the caller.
+    xs = [f"{x:.2f}," for x in _x_positions(t, t_min, t_max)]
+    for metric, is_shared, column in zip(METRICS, shared, _diagonal_scores()):
+        ys = [f"{y:.2f}" for y in _y_positions(column)] if is_shared else ["%.2f"] * len(t)
+        points = " ".join(map(str.__add__, xs, ys))
         color = _SERIES_COLORS[metric]
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{points}"/>')
 

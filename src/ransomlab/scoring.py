@@ -174,11 +174,15 @@ def disinfection_payoff(c: float, s: float) -> float:
 
 
 def score_all(p: TraitProfile) -> ScoreSet:
-    """Compute all four scores; the payoff uses ``p.c`` and the computed severity."""
+    """Compute all four scores; the payoff uses ``p.c`` and the computed severity.
+
+    The payoff takes the plain formula: ``p.c`` is checked by the profile, and
+    the severity of any valid profile lies in [0, 100].
+    """
     s = severity(p)
     return ScoreSet(
         sps=spreadability_score(p),
         severity=s,
         disinfection_probability=disinfection_probability(p),
-        disinfection_payoff=disinfection_payoff(p.c, s),
+        disinfection_payoff=disinfection_payoff_of(p.c, s),
     )

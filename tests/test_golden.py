@@ -2,7 +2,12 @@
 
 The A=20 and C=90 digests were recorded from the implementation before sweep
 rows carried a ``ScoreSet``, and the G=0 and I=55.5 digests from the
-profile-per-point sweep before it became column-wise. The sliced A=20 digests
+profile-per-point sweep before it became column-wise. The D=37.5 and E=0
+digests were recorded from the sweep that formatted every value of every
+column; with A, C, G and I they cover each set of score columns that a
+sweep shares across calls because their formulas do not read the fixed
+variable (D: all four; E: SPS and DC; A: DC; C: SPS and DP; G: SPS, DP and DC;
+I: SPS, S and DC). The sliced A=20 digests
 (t = 50 alone, and t = 10..39) were recorded from the row-based sweep result
 before it stored columns; they cover the single-point chart and an axis other
 than 0..100. Any byte change to the CSV, the SVG or the CLI lines fails here, not only a change in shape or in a
@@ -44,6 +49,14 @@ SWEEP_DIGESTS = {
     ("I", 55.5): (
         "5ddd56299636325a5002f0c61c19d3d654f378a0fa355fee02cfadcf3ec9c15c",
         "2276c3f20aff8ff7674e321af44c60cad77ddd203ea514b579856d6b4bd08061",
+    ),
+    ("D", 37.5): (
+        "827e842a477b8219691cb01a20d246e26d271f8aa3dcdaf7ee9c32e0f8c3d0fa",
+        "fcdc98211ed2f62b953ce519b5131a308ebfac23aeb3038f8cd7a50c136af67f",
+    ),
+    ("E", 0.0): (
+        "5d249b65f84a8b19f864298a731f121d90ccbc8de5fa8567ba815ff35ef44b45",
+        "205875fe7744f918b11ec24d2d6c89b08d5cddae666ec4774de9124d9cfe5f63",
     ),
 }
 

@@ -183,6 +183,49 @@ def test_fixing_b_changes_only_dp():
     assert b10.column("S") == b90.column("S")
     assert b10.column("DC") == b90.column("DC")
     assert b10.column("DP") != b90.column("DP")
+    # The columns that do not read B are computed once and shared by both sweeps.
+    assert [x is y for x, y in zip(b10.scores, b90.scores)] == [True, True, False, True]
+
+
+def test_sweeps_share_exactly_the_columns_that_do_not_read_the_fixed_variable():
+    # No formula reads D, so every D sweep has the same four column objects.
+    d = sweep(SweepSpec("D", 37.5))
+    assert all(x is y for x, y in zip(d.scores, sweep(SweepSpec("D", 0)).scores))
+    # A is read by SPS, S (through SPS) and DP; only DC is shared, with D's.
+    a = sweep(SweepSpec("A", 20))
+    assert [x is y for x, y in zip(a.scores, d.scores)] == [False, False, False, True]
+    assert [x is y for x, y in zip(a.scores, sweep(SweepSpec("A", 80)).scores)] == [False, False, False, True]
+
+
+def _fresh(result: SweepResult, order=range(4)) -> SweepResult:
+    """``result`` rebuilt from new copies of its columns (in ``order``), so no column is shared."""
+    return SweepResult(result.spec, list(result.t), [list(result.scores[k]) for k in order])
+
+
+@settings(max_examples=150, deadline=None)
+@given(variable=st.sampled_from(VARIABLE_KEYS), value=fixed_values, order=st.permutations(range(4)))
+def test_rendering_a_sweep_matches_rendering_fresh_copies_of_its_columns(variable, value, order):
+    result = sweep(SweepSpec(variable, value))
+    fresh = _fresh(result)
+    assert not any(x is y for x, y in zip(fresh.scores, result.scores))
+    assert sweep_csv(result) == sweep_csv(fresh)
+    assert sweep_svg(result) == sweep_svg(fresh)
+    # Shared columns in other positions are still rendered from their own values.
+    moved = SweepResult(result.spec, result.t, [result.scores[k] for k in order])
+    assert sweep_csv(moved) == sweep_csv(_fresh(result, order))
+    assert sweep_svg(moved) == sweep_svg(_fresh(result, order))
+
+
+def test_a_column_equal_to_a_shared_one_is_rendered_from_its_own_values():
+    shared = sweep(SweepSpec("D", 37.5))
+    dc = tuple(-0.0 if x == 0.0 else x for x in shared.scores[3])
+    assert dc == shared.scores[3] and 0.0 in dc  # -0.0 == 0.0, but the two format differently
+    result = SweepResult(shared.spec, shared.t, (*shared.scores[:3], dc))
+    rows = sweep_csv(result).splitlines()[1:]
+    assert all(row.endswith(",-0.0000") for row, x in zip(rows, shared.scores[3]) if x == 0.0)
+    assert sweep_csv(result) == sweep_csv(_fresh(result)) != sweep_csv(shared)
+    # A score of -0.0 or 0.0 both place the point at y = 550.00.
+    assert sweep_svg(result) == sweep_svg(_fresh(result)) == sweep_svg(shared)
 
 
 def test_csv_output_shape_and_determinism(tmp_path):

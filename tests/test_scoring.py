@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ransomlab.errors import ValidationError
 from ransomlab.scoring import (
@@ -158,6 +161,34 @@ def test_scores_stay_in_range_on_random_profiles():
             scores.disinfection_payoff,
         ):
             assert 0.0 <= value <= 100.0
+
+
+# score_all feeds its severity to the unchecked payoff formula. These pin that
+# the checks it skips cannot fire: the severity of a valid profile lies in
+# [0, 100]. Severity rises with C, E, F and G and falls with A (through SPS),
+# and float rounding keeps that order, so the corner profiles bound the rest.
+def _assert_payoff_inputs_in_range(p: TraitProfile) -> None:
+    scores = score_all(p)
+    assert 0.0 <= scores.severity <= 100.0
+    assert scores.disinfection_payoff == disinfection_payoff(p.c, scores.severity)
+
+
+def test_severity_of_every_corner_profile_lies_in_range():
+    for corner in itertools.product((0, 100), repeat=8):
+        for g in (5e-324, 100.0):  # G must be > 0
+            _assert_payoff_inputs_in_range(TraitProfile(**dict(zip("abcdefhi", corner)), g=g))
+
+
+_variable = st.floats(0, 100) | st.integers(0, 100) | st.sampled_from([-0.0, 5e-324, 100.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.fixed_dictionaries(dict.fromkeys("abcdefhi", _variable)),
+    g=st.floats(5e-324, 100) | st.integers(1, 100) | st.sampled_from([5e-324, 100.0]),
+)
+def test_severity_of_valid_profiles_lies_in_range(values, g):
+    _assert_payoff_inputs_in_range(TraitProfile(**values, g=g))
 
 
 def test_spreadability_monotonicity_on_random_profiles():
