@@ -93,18 +93,18 @@ def load_json(path: str | Path) -> dict:
     return data
 
 
-def _with_context(path: Path, fn, data: dict):
+def _load(path: str | Path, parse):
+    """Parse the JSON object in ``path`` with ``parse``, prefixing a rejection with the path."""
+    data = load_json(path)
     try:
-        return fn(data)
+        return parse(data)
     except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+        raise ValidationError(f"{Path(path)}: {exc}") from None
 
 
 def load_profile_document(path: str | Path) -> ProfileDocument:
     """Load a named profile document from disk."""
-    check_path(path, "input path")
-    path = Path(path)
-    return _with_context(path, parse_profile_document, load_json(path))
+    return _load(path, parse_profile_document)
 
 
 def load_profile(path: str | Path) -> TraitProfile:
@@ -116,15 +116,11 @@ def load_catalog(path: str | Path) -> StrategyCatalog:
     """Load and validate a strategy catalog file."""
     from .strategies import catalog_from_dict
 
-    check_path(path, "input path")
-    path = Path(path)
-    return _with_context(path, catalog_from_dict, load_json(path))
+    return _load(path, catalog_from_dict)
 
 
 def load_network(path: str | Path) -> Network:
     """Load and validate a network file."""
     from .simnet import network_from_dict
 
-    check_path(path, "input path")
-    path = Path(path)
-    return _with_context(path, network_from_dict, load_json(path))
+    return _load(path, network_from_dict)

@@ -27,19 +27,20 @@ fixed variable gives the same column in every sweep: that column is
 computed once per process and shared, and only the formulas that read the
 fixed variable are mapped.
 
-A :class:`SweepResult` stores columns: the points ``t`` and the four score
-columns in :data:`~ransomlab.scoring.METRICS` order. Its ``rows`` property
-derives the per-point :class:`SweepRow` view on each access; the sweep and
-both renderers build no per-point object.
+Every sweep has the same axis, the 101 points t = 0..100, so a
+:class:`SweepResult` stores only the four score columns, in
+:data:`~ransomlab.scoring.METRICS` order, one value per point. Its ``rows``
+property derives the per-point :class:`SweepRow` view on each access; the
+sweep and both renderers build no per-point object.
 
 Rendering is deterministic: fixed four-decimal CSV (LF line endings) and a
 hand-assembled 800x600 SVG with one polyline per metric; identical results
 produce byte-identical files. Each renderer fills a template built once per
-t axis and set of shared score columns, and a bounded number are kept. The
-template holds every cell that depends only on those: the t cells, the
-SVG frame and each point's x, and the CSV cells and SVG y values of the
-shared columns. A column is shared only if it *is* the shared object;
-equality is not enough, as ``-0.0 == 0.0`` but the two format differently.
+set of shared score columns (at most 16). The template holds every cell
+that depends only on that set: the t cells, the SVG frame and each point's
+x, and the CSV cells and SVG y values of the shared columns. A column is
+shared only if it *is* the shared object; equality is not enough, as
+``-0.0 == 0.0`` but the two format differently.
 So a call formats only the columns that read the fixed variable, and a
 :class:`SweepResult` built with its own columns has every value formatted.
 """
@@ -52,9 +53,9 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import is_
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .errors import ValidationError, check_items, check_number, check_path, check_sequence, check_type
+from .errors import ValidationError, check_number, check_path, check_sequence, check_type
 from .scoring import (
     METRICS, VARIABLE_KEYS, ScoreSet, TraitProfile, disinfection_payoff_of, disinfection_probability_of, score_all,
     severity_of, spreadability_of,
@@ -130,32 +131,26 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """A sweep as columns: the points ``t`` and one score column per metric, in :data:`METRICS` order.
+    """A sweep as one score column per metric, in :data:`METRICS` order, over the points t = 0..100.
 
-    Takes tuples or lists and stores tuples; every score column is as long
-    as ``t`` and holds floats. :attr:`rows` derives the per-point view.
+    Takes tuples or lists and stores tuples; every score column holds 101
+    finite floats, one per point. :attr:`rows` derives the per-point view.
     """
 
     spec: SweepSpec
-    t: tuple[int, ...] = ()
-    scores: tuple[tuple[float, ...], ...] = ((),) * len(METRICS)
+    scores: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
         check_type(self.spec, SweepSpec, "sweep spec")
-        t = check_items(self.t, int, "sweep t", "sweep t")
-        if t and not (-_FLOAT_MAX <= min(t) and max(t) <= _FLOAT_MAX):  # the chart places each t as a float
-            raise ValidationError("sweep t must lie within float range")
         columns = check_sequence(self.scores, "sweep scores")
         if len(columns) != len(METRICS):
             raise ValidationError(f"sweep scores must hold {len(METRICS)} columns, got {len(columns)}")
-        columns = tuple(_score_column(column, metric, len(t)) for metric, column in zip(METRICS, columns))
-        object.__setattr__(self, "t", t)  # frozen: store tuples
-        object.__setattr__(self, "scores", columns)
+        object.__setattr__(self, "scores", tuple(map(_score_column, columns, METRICS)))  # frozen: store tuples
 
     @property
     def rows(self) -> tuple[SweepRow, ...]:
         """One :class:`SweepRow` per point, built from the columns on each access."""
-        return tuple(map(SweepRow, self.t, map(ScoreSet, *self.scores)))
+        return tuple(map(SweepRow, _POINTS, map(ScoreSet, *self.scores)))
 
     def column(self, metric: str) -> list[float]:
         k = _COLUMN_INDEX.get(metric) if isinstance(metric, str) else None
@@ -166,21 +161,22 @@ class SweepResult:
 
 _COLUMN_INDEX = {metric: k for k, metric in enumerate(METRICS)}
 _FLOAT_MAX = sys.float_info.max
+_POINTS = tuple(range(101))  # the sweep axis t, the same in every sweep
 
 
-def _score_column(column: object, metric: str, n: int) -> tuple[float, ...]:
-    """Return ``column`` as a tuple of ``n`` floats, rejecting anything else."""
+def _score_column(column: object, metric: str) -> tuple[float, ...]:
+    """Return ``column`` as a tuple of one finite float per point, rejecting anything else."""
     column = check_sequence(column, f"sweep {metric} scores")
-    if len(column) != n:
-        raise ValidationError(f"sweep {metric} scores hold {len(column)} values for {n} points")
-    if {*map(type, column)} <= {float}:  # exact floats skip the calls; only other values pay for them
+    if len(column) != len(_POINTS):
+        raise ValidationError(f"sweep {metric} scores hold {len(column)} values for {len(_POINTS)} points")
+    # Exact floats with a finite sum skip the calls: a NaN or an infinity makes the sum NaN or infinite.
+    if {*map(type, column)} <= {float} and -_FLOAT_MAX <= sum(column) <= _FLOAT_MAX:
         return column
     for k, x in enumerate(column):
         check_number(x, f"sweep {metric} score {k}", -_FLOAT_MAX, _FLOAT_MAX)
     return tuple(map(float, column))
 
 
-_POINTS = tuple(range(101))
 _DIAGONAL = tuple(map(float, _POINTS))
 _DIAGONAL_G = (1.0, *_DIAGONAL[1:])  # G floored at 1 where the diagonal is 0
 # Each unfixed variable's column, the same object in every sweep.
@@ -201,7 +197,7 @@ def sweep(spec: SweepSpec) -> SweepResult:
         value = 1.0
     columns = dict(_DIAGONAL_COLUMNS)
     columns[spec.fixed_variable] = (value,) * len(_POINTS)
-    return SweepResult(spec, _POINTS, _score_columns(columns.values(), _diagonal_scores()))
+    return SweepResult(spec, _score_columns(columns.values(), _diagonal_scores()))
 
 
 def _score_columns(variables: Iterable[tuple[float, ...]], shared: tuple) -> tuple[tuple[float, ...], ...]:
@@ -244,33 +240,29 @@ def _split(result: SweepResult) -> tuple[tuple[bool, ...], list[tuple[float, ...
 
 
 _CSV_HEADER = ",".join(("t", *METRICS))
-# Templates kept, one per t axis and set of shared columns; a full sweep has one axis and six sets.
-_TEMPLATES = 16
 
 
 def sweep_csv(result: SweepResult) -> str:
     """CSV text with header ``t,SPS,S,DP,DC``, four decimals, LF endings."""
     check_type(result, SweepResult, "sweep result")
-    if not result.t:
-        raise ValidationError("cannot render an empty sweep result")
     # The template from _csv_template, filled from a flat row-major list of the cells not already in it.
     shared, own = _split(result)
     width = len(own)
-    cells = [None] * (len(result.t) * width)
+    cells = [None] * (len(_POINTS) * width)
     for k, column in enumerate(own):
         cells[k::width] = column
-    return _csv_template(result.t, shared) % tuple(cells)
+    return _csv_template(shared) % tuple(cells)
 
 
-@functools.lru_cache(maxsize=_TEMPLATES)
-def _csv_template(t: tuple[int, ...], shared: tuple[bool, ...]) -> str:
-    """The CSV for one t axis as a template: ``%.4f`` for each cell of a column not shared.
+@functools.cache
+def _csv_template(shared: tuple[bool, ...]) -> str:
+    """The CSV as a template: ``%.4f`` for each cell of a column not shared.
 
     The t cells and the shared columns' cells are already formatted.
     """
-    fields = [["%d" % x for x in t]]
+    fields = [["%d" % x for x in _POINTS]]
     for is_shared, column in zip(shared, _diagonal_scores()):
-        fields.append(["%.4f" % x for x in column] if is_shared else ["%.4f"] * len(t))
+        fields.append(["%.4f" % x for x in column] if is_shared else ["%.4f"] * len(_POINTS))
     return "\n".join((_CSV_HEADER, *map(",".join, zip(*fields)), ""))
 
 
@@ -293,12 +285,12 @@ _SERIES_COLORS = {
 }
 
 
-def _x_positions(ts: Sequence[float], t_min: float, t_max: float) -> list[float]:
-    span = t_max - t_min
-    if span == 0:
-        return [(_PLOT_LEFT + _PLOT_RIGHT) / 2.0] * len(ts)
+_TICKS = (0, 25, 50, 75, 100)  # the gridline scores and the x-axis ticks
+
+
+def _x_positions(ts: Iterable[int]) -> list[float]:
     width = _PLOT_RIGHT - _PLOT_LEFT
-    return [_PLOT_LEFT + (t - t_min) / span * width for t in ts]
+    return [_PLOT_LEFT + t / 100.0 * width for t in ts]
 
 
 def _y_positions(scores: Iterable[float]) -> list[float]:
@@ -314,25 +306,20 @@ def sweep_svg(result: SweepResult) -> str:
     of the series that are not shared.
     """
     check_type(result, SweepResult, "sweep result")
-    if not result.t:
-        raise ValidationError("cannot render an empty sweep result")
     spec = result.spec
     title = f"{spec.fixed_variable}={_format_value(spec.fixed_value)}"
     shared, own = _split(result)
-    return _svg_frame(result.t, shared) % (title, *_y_positions(chain.from_iterable(own)))
+    return _svg_frame(shared) % (title, *_y_positions(chain.from_iterable(own)))
 
 
-@functools.lru_cache(maxsize=_TEMPLATES)
-def _svg_frame(t: tuple[int, ...], shared: tuple[bool, ...]) -> str:
-    """The chart for one t axis as a template: ``%s`` for the title, then ``%.2f`` for each y of a series not shared.
+@functools.cache
+def _svg_frame(shared: tuple[bool, ...]) -> str:
+    """The chart as a template: ``%s`` for the title, then ``%.2f`` for each y of a series not shared.
 
-    Everything else depends only on ``t`` and the shared columns: the header,
+    Everything else depends only on the shared columns: the header,
     gridlines, ticks, axes, labels, legend, each point's x and the shared
     series' y values.
     """
-    t_min = float(t[0])
-    t_max = float(t[-1])
-
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{_SVG_WIDTH}" '
@@ -342,8 +329,7 @@ def _svg_frame(t: tuple[int, ...], shared: tuple[bool, ...]) -> str:
         'font-family="sans-serif">%s</text>',
     ]
 
-    grid_scores = (0, 25, 50, 75, 100)
-    for score, y in zip(grid_scores, _y_positions(grid_scores)):
+    for score, y in zip(_TICKS, _y_positions(_TICKS)):
         parts.append(
             f'<line x1="{_PLOT_LEFT:.2f}" y1="{y:.2f}" x2="{_PLOT_RIGHT:.2f}" y2="{y:.2f}" '
             'stroke="#dddddd" stroke-width="1"/>'
@@ -353,16 +339,14 @@ def _svg_frame(t: tuple[int, ...], shared: tuple[bool, ...]) -> str:
             f'font-family="sans-serif">{score}</text>'
         )
 
-    tick_count = 5 if t_max > t_min else 1
-    ticks = [t_min + (t_max - t_min) * k / max(1, tick_count - 1) for k in range(tick_count)]
-    for tick, x in zip(ticks, _x_positions(ticks, t_min, t_max)):
+    for tick, x in zip(_TICKS, _x_positions(_TICKS)):
         parts.append(
             f'<line x1="{x:.2f}" y1="{_PLOT_BOTTOM:.2f}" x2="{x:.2f}" y2="{_PLOT_BOTTOM + 5:.2f}" '
             'stroke="#333333" stroke-width="1"/>'
         )
         parts.append(
             f'<text x="{x:.2f}" y="{_PLOT_BOTTOM + 20:.2f}" font-size="12" text-anchor="middle" '
-            f'font-family="sans-serif">{tick:.0f}</text>'
+            f'font-family="sans-serif">{tick}</text>'
         )
 
     parts.append(
@@ -383,9 +367,9 @@ def _svg_frame(t: tuple[int, ...], shared: tuple[bool, ...]) -> str:
     )
 
     # Each x is formatted once; a series not shared leaves its y values to the caller.
-    xs = [f"{x:.2f}," for x in _x_positions(t, t_min, t_max)]
+    xs = [f"{x:.2f}," for x in _x_positions(_POINTS)]
     for metric, is_shared, column in zip(METRICS, shared, _diagonal_scores()):
-        ys = [f"{y:.2f}" for y in _y_positions(column)] if is_shared else ["%.2f"] * len(t)
+        ys = [f"{y:.2f}" for y in _y_positions(column)] if is_shared else ["%.2f"] * len(_POINTS)
         points = " ".join(map(str.__add__, xs, ys))
         color = _SERIES_COLORS[metric]
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{points}"/>')

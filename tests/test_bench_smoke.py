@@ -3,9 +3,10 @@
 A library change that breaks what ``bench/workloads.py`` calls, or that
 changes what its checks expect, would make the benchmark report failed ops
 while the rest of this suite stays green. This runs ``triage_batch`` ops
-that sweep each of the nine variables through ``prepare``/``op``/``check``
-and recomputes the ``spread_mc`` golden digest, so such a change fails here
-first.
+that sweep each of the nine variables and one ``cli_session`` op (six
+``ransomlab`` child processes, whose output the check compares with the
+library's) through ``prepare``/``op``/``check``, and recomputes the
+``spread_mc`` golden digest, so such a change fails here first.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from pathlib import Path
 
 from ransomlab.scoring import VARIABLE_KEYS
 
-BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+BENCH_DIR = REPO_ROOT / "bench"
 sys.path.insert(0, str(BENCH_DIR))
 
 import workloads  # noqa: E402
@@ -38,3 +40,11 @@ def test_triage_batch_ops_pass_their_checks(tmp_path):
 
 def test_spread_mc_golden_digest_holds():
     assert workloads.SpreadMC.golden_digest() == workloads.SpreadMC.GOLDEN_SHA256
+
+
+def test_cli_session_op_passes_its_check(tmp_path):
+    workload = workloads.CliSession(workloads.DEFAULT_SEED, tmp_path, REPO_ROOT / "src")
+    tracer = NullTracer()
+    session = workload.prepare(0)
+    codes = workload.op(session, tracer)
+    assert workload.check(session, codes, tracer) is None

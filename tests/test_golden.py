@@ -29,7 +29,7 @@ import pytest
 from ransomlab.cli import main
 from ransomlab.games import game_to_dict, pd_game, ransom_game, snowdrift_game
 from ransomlab.ingest import load_network
-from ransomlab.report import SweepResult, SweepSpec, sweep, sweep_csv, sweep_svg
+from ransomlab.report import SweepSpec, sweep, sweep_csv, sweep_svg
 from ransomlab.simnet import SimConfig, network_to_dict, run, trajectory_csv
 from ransomlab.strategies import catalog_to_dict, default_catalog
 
@@ -57,18 +57,6 @@ SWEEP_DIGESTS = {
     ("E", 0.0): (
         "5d249b65f84a8b19f864298a731f121d90ccbc8de5fa8567ba815ff35ef44b45",
         "205875fe7744f918b11ec24d2d6c89b08d5cddae666ec4774de9124d9cfe5f63",
-    ),
-}
-
-# A=20 results cut to the points t[lo:hi].
-SLICED_SWEEP_DIGESTS = {
-    (50, 51): (
-        "92d3601402a6db047d1d4a30c2a41fec3f67175ddf86c9ca8b2c3cb6044cb877",
-        "9ad79ac62abf3dad255e670711562ae7464da73d1be8affa8a8cc567e6b9f8e4",
-    ),
-    (10, 40): (
-        "896d853930d9381b75452dda36b0a7a939e59b01485266ca50132b091c561236",
-        "e55c49dd6fcb33ec14932cda67c7ee23ae8fd02ccabddb07192a0e76036a79ad",
     ),
 }
 
@@ -141,14 +129,6 @@ def _sha256(text: str) -> str:
 def test_sweep_files_match_golden_digests(fixed):
     result = sweep(SweepSpec(*fixed))
     assert (_sha256(sweep_csv(result)), _sha256(sweep_svg(result))) == SWEEP_DIGESTS[fixed]
-
-
-@pytest.mark.parametrize("bounds", SLICED_SWEEP_DIGESTS, ids=[f"t={lo}..{hi - 1}" for lo, hi in SLICED_SWEEP_DIGESTS])
-def test_sliced_sweep_files_match_golden_digests(bounds):
-    lo, hi = bounds
-    full = sweep(SweepSpec("A", 20))
-    result = SweepResult(full.spec, full.t[lo:hi], [column[lo:hi] for column in full.scores])
-    assert (_sha256(sweep_csv(result)), _sha256(sweep_svg(result))) == SLICED_SWEEP_DIGESTS[bounds]
 
 
 @pytest.mark.parametrize("argv", CLI_DIGESTS, ids=[" ".join(argv) for argv in CLI_DIGESTS])

@@ -88,11 +88,18 @@ def test_missing_file_is_a_validation_error(tmp_path):
 
 
 def test_error_messages_carry_the_file_path(tmp_path):
-    payload = company_a_doc()
-    del payload["variables"]["I"]
-    path = write_json(tmp_path, "broken_profile.json", payload)
-    with pytest.raises(ValidationError, match="broken_profile.json"):
-        load_profile(path)
+    # Each loader, given a document with one bad value, names the file first.
+    profile = company_a_doc()
+    profile["variables"]["B"] = 140
+    catalog = catalog_to_dict(default_catalog())
+    catalog["strategies"][1]["overall_complexity"] = "high"
+    network = network_to_dict(load_sample_star())
+    network["edges"][0]["prob"] = 1.5
+    for load, payload in ((load_profile_document, profile), (load_catalog, catalog), (load_network, network)):
+        path = write_json(tmp_path, f"broken_{load.__name__}.json", payload)
+        with pytest.raises(ValidationError) as err:
+            load(path)
+        assert str(err.value).startswith(f"{path}: ")
 
 
 def test_decimal_and_integer_values_both_accepted(tmp_path):

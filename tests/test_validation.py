@@ -101,6 +101,15 @@ def test_parsers_return_or_raise_validation_error(data):
 
 _PROFILE = TraitProfile(a=20, b=25, c=25, d=100, e=80, f=90, g=25, h=60, i=15)
 _SCORES = ScoreSet(1.0, 2.0, 3.0, 4.0)
+_COLUMN = (1.0,) * 101  # a valid sweep score column
+
+
+def _columns_with(k: int, value: object) -> tuple:
+    """Four valid sweep score columns, but column ``k`` holds ``value`` at t = 50."""
+    columns = [_COLUMN] * 4
+    columns[k] = (*_COLUMN[:50], value, *_COLUMN[51:])
+    return tuple(columns)
+
 
 BAD_CONSTRUCTIONS = {
     "host string id": lambda: Host(id="h1"),
@@ -149,23 +158,20 @@ BAD_CONSTRUCTIONS = {
     "equilibrium string value": lambda: Equilibrium((1.0,), (1.0,), 0.0, "1", "pure"),
     "expected payoffs none mix": lambda: expected_payoffs(ransom_game(), None, (0.5, 0.5)),
     "expected payoffs string mix": lambda: expected_payoffs(ransom_game(), ("a", "b"), (0.5, 0.5)),
-    "sweep result int row": lambda: sweep_csv(SweepResult(SweepSpec("A", 20), (0,), (1, 2, 3, 4))),
-    "sweep result none rows": lambda: SweepResult(SweepSpec("A", 20), (0,), None),
-    "sweep result none t": lambda: SweepResult(SweepSpec("A", 20), None),
-    "sweep result huge t": lambda: SweepResult(SweepSpec("A", 20), (0, 10**400), ((1.0, 2.0),) * 4),
-    "sweep result float t": lambda: SweepResult(SweepSpec("A", 20), (0.0,), ((1.0,),) * 4),
-    "sweep result three columns": lambda: SweepResult(SweepSpec("A", 20), (0,), ((1.0,),) * 3),
-    "sweep result ragged column": lambda: sweep_csv(
-        SweepResult(SweepSpec("A", 20), (0, 1), ((1.0, 2.0), (1.0, 2.0), (1.0,), (1.0, 2.0)))
-    ),
-    "sweep result string score": lambda: sweep_csv(
-        SweepResult(SweepSpec("A", 20), (0,), ((1.0,), ("x",), (1.0,), (1.0,)))
-    ),
-    "sweep result none score": lambda: SweepResult(SweepSpec("A", 20), (0,), ((None,), (1.0,), (1.0,), (1.0,))),
-    "sweep result bool score": lambda: SweepResult(SweepSpec("A", 20), (0,), ((1.0,), (1.0,), (True,), (1.0,))),
-    "sweep result huge score": lambda: SweepResult(SweepSpec("A", 20), (0,), ((1.0,), (1.0,), (1.0,), (10**400,))),
-    "sweep result string column": lambda: SweepResult(SweepSpec("A", 20), (0,), ("a", (1.0,), (1.0,), (1.0,))),
-    "sweep result none spec": lambda: SweepResult(None),
+    "sweep result int row": lambda: sweep_csv(SweepResult(SweepSpec("A", 20), (1, 2, 3, 4))),
+    "sweep result none rows": lambda: SweepResult(SweepSpec("A", 20), None),
+    "sweep result three columns": lambda: SweepResult(SweepSpec("A", 20), (_COLUMN,) * 3),
+    "sweep result ragged column": lambda: sweep_csv(SweepResult(SweepSpec("A", 20), (*(_COLUMN,) * 3, _COLUMN[1:]))),
+    "sweep result long column": lambda: SweepResult(SweepSpec("A", 20), (_COLUMN + (1.0,), *(_COLUMN,) * 3)),
+    "sweep result string score": lambda: sweep_csv(SweepResult(SweepSpec("A", 20), _columns_with(1, "x"))),
+    "sweep result none score": lambda: SweepResult(SweepSpec("A", 20), _columns_with(0, None)),
+    "sweep result bool score": lambda: SweepResult(SweepSpec("A", 20), _columns_with(2, True)),
+    "sweep result huge score": lambda: SweepResult(SweepSpec("A", 20), _columns_with(3, 10**400)),
+    "sweep result nan score": lambda: SweepResult(SweepSpec("A", 20), _columns_with(0, math.nan)),
+    "sweep result inf score": lambda: SweepResult(SweepSpec("A", 20), _columns_with(1, math.inf)),
+    "sweep result -inf score": lambda: SweepResult(SweepSpec("A", 20), _columns_with(3, -math.inf)),
+    "sweep result string column": lambda: SweepResult(SweepSpec("A", 20), ("a", *(_COLUMN,) * 3)),
+    "sweep result none spec": lambda: SweepResult(None, (_COLUMN,) * 4),
     "profile document int name": lambda: ProfileDocument(name=5, profile=_PROFILE),
     "profile document none profile": lambda: ProfileDocument("x", None),
     "ranking nan weight": lambda: rank_strategies(default_catalog(), _PROFILE, (math.nan, 0.5, 0.25, 0.25)),
@@ -179,7 +185,7 @@ BAD_CONSTRUCTIONS = {
     "sweep row string t": lambda: SweepRow("x", _SCORES),
     "sweep row bool t": lambda: SweepRow(True, _SCORES),
     "sweep row none scores": lambda: SweepRow(0, None),
-    "sweep csv of string row": lambda: sweep_csv(SweepResult(SweepSpec("A", 20), ("x",), ((None,),) * 4)),
+    "sweep csv of string row": lambda: sweep_csv(SweepResult(SweepSpec("A", 20), (("x",) * 101,) * 4)),
 }
 
 
@@ -208,8 +214,7 @@ def test_well_typed_bad_values_keep_their_messages(message):
 def test_list_built_values_equal_and_hash_like_tuple_built():
     step = Step(description="scan", complexity=1)
     spec = SweepSpec("A", 20)
-    result = sweep(spec)
-    t, scores = result.t[:2], tuple(column[:2] for column in result.scores)
+    scores = sweep(spec).scores
 
     def strategy(steps):
         return Strategy(name="x", steps=steps, overall_complexity=1, effectiveness=Level.LOW, reinfection_risk=Level.LOW)
@@ -220,7 +225,7 @@ def test_list_built_values_equal_and_hash_like_tuple_built():
         (StrategyCatalog([strategy([step])]), StrategyCatalog((strategy((step,)),))),
         (BimatrixGame(["r"], ["c"], [[[1, 2]]]), BimatrixGame(("r",), ("c",), (((1.0, 2.0),),))),
         (Equilibrium([1.0], [1.0], 0.0, 0.0, "pure"), Equilibrium((1.0,), (1.0,), 0.0, 0.0, "pure")),
-        (SweepResult(spec, list(t), list(map(list, scores))), SweepResult(spec, t, scores)),
+        (SweepResult(spec, list(map(list, scores))), SweepResult(spec, scores)),
     ]
     for from_lists, from_tuples in pairs:
         assert from_lists == from_tuples
