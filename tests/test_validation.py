@@ -23,7 +23,7 @@ from ransomlab.games import (
 from ransomlab.ingest import ProfileDocument, parse_profile_document
 from ransomlab.report import SweepResult, SweepRow, SweepSpec, sweep, sweep_csv
 from ransomlab.scoring import ScoreSet, TraitProfile
-from ransomlab.simnet import CloudStore, Edge, Host, Network, SimConfig, network_from_dict
+from ransomlab.simnet import CloudStore, Edge, Host, Network, SimConfig, monte_carlo_f, network_from_dict
 from ransomlab.strategies import (
     Level,
     Step,
@@ -208,6 +208,113 @@ KEPT_MESSAGES = {
 def test_well_typed_bad_values_keep_their_messages(message):
     with pytest.raises(ValidationError) as err:
         KEPT_MESSAGES[message]()
+    assert str(err.value) == message
+
+
+def _strategy(**fields) -> Strategy:
+    return Strategy(**{
+        "name": "x", "steps": (), "overall_complexity": 1, "effectiveness": Level.LOW, "reinfection_risk": Level.LOW,
+        **fields,
+    })
+
+
+_NETWORK_DOC = {"hosts": [], "clouds": [], "edges": []}
+_CONFIG = SimConfig(ticks=1, base_infection_prob=0.5, clean_prob_per_tick=0.1, reinfection_allowed=True, seed=1)
+
+# One bad input per check whose label is built from the value's fields or position, and per input that
+# a type-and-range shortcut lets through when it is good: the exact message each raises.
+LABEL_MESSAGES = {
+    "host 3 awareness must be in [0, 100], got 150": lambda: Host(id=3, awareness=150),
+    "host 3 protection must be a number, got str": lambda: Host(id=3, protection="x"),
+    "cloud 0 contaminated must be a boolean, got int": lambda: CloudStore(id=0, contaminated=1),
+    "edge (0, 1) prob must be in [0, 1], got 1.5": lambda: Edge(host=0, cloud=1, prob=1.5),
+    "edge (0, 1) prob must be a number, got bool": lambda: Edge(host=0, cloud=1, prob=True),
+    "network hosts must be a tuple or list, got NoneType": lambda: Network(hosts=None, clouds=(), edges=()),
+    "network host 0 must be a Host, got int": lambda: Network(hosts=(1,), clouds=(), edges=()),
+    "network cloud 0 must be a CloudStore, got Host": lambda: Network(hosts=(), clouds=(Host(id=0),), edges=()),
+    "network edges must be a tuple or list, got str": lambda: Network(hosts=(), clouds=(), edges="e"),
+    "network edge 1 must be an Edge, got tuple": lambda: Network(
+        hosts=(Host(id=0),), clouds=(CloudStore(id=0),), edges=(Edge(0, 0, 0.5), (0, 0, 0.5))
+    ),
+    "step 'scan' complexity must be in [0, 10], got 11": lambda: Step(description="scan", complexity=11),
+    "step 'scan' note must be a string, got int": lambda: Step(description="scan", complexity=1, note=3),
+    "strategy 'x' steps must be a tuple or list, got NoneType": lambda: _strategy(steps=None),
+    "strategy 'x' step 0 must be a Step, got int": lambda: _strategy(steps=(1,)),
+    "strategy 'it's' step 1 must be a Step, got str": lambda: _strategy(
+        name="it's", steps=(Step(description="scan", complexity=1), "s")
+    ),
+    "strategy 'x' complexity must be in [0, 10], got 11": lambda: _strategy(overall_complexity=11),
+    "strategy 'x' note must be a string, got list": lambda: _strategy(note=["n"]),
+    "catalog strategy 0 must be a Strategy, got int": lambda: StrategyCatalog((1,)),
+    "row label 1 must be a string, got int": lambda: BimatrixGame(["r", 1], ["c"], [[(0, 0)], [(0, 0)]]),
+    "payoff row 0 must be a tuple or list, got NoneType": lambda: BimatrixGame(("r",), ("c",), (None,)),
+    "payoff row 1 has 1 cells, expected 2": lambda: BimatrixGame(
+        ["r0", "r1"], ["c0", "c1"], [[(0, 0), (0, 0)], [(0, 0)]]
+    ),
+    "payoff cell (0, 1) must be a [row, col] pair": lambda: BimatrixGame(["r"], ["c0", "c1"], [[(0, 0), 5]]),
+    "payoff cell (1, 0) must be a number, got str": lambda: BimatrixGame(
+        ["r0", "r1"], ["c"], [[(0, 0)], [(0, "x")]]
+    ),
+    "payoff cell (0, 0) must be a number, got bool": lambda: BimatrixGame(["r"], ["c"], [[(True, 0)]]),
+    "payoff cell (0, 0) must be in [-1.79769e+308, 1.79769e+308], got nan": lambda: BimatrixGame(
+        ["r"], ["c"], [[(math.nan, 0)]]
+    ),
+    "payoff cell (0, 1) must be in [-1.79769e+308, 1.79769e+308], got inf": lambda: BimatrixGame(
+        ["r"], ["c0", "c1"], [[(0, 0), (1.5, math.inf)]]
+    ),
+    "payoff cell (0, 0) must be in [-1.79769e+308, 1.79769e+308], got " + repr(10**400): lambda: BimatrixGame(
+        ["r"], ["c"], [[(10**400, 1.0)]]
+    ),
+    "prisoner's dilemma T must be a number, got str": lambda: pd_game("a", 3, 1, 0),
+    "prisoner's dilemma S must be in [-1.79769e+308, 1.79769e+308], got nan": lambda: pd_game(5, 3, 1, math.nan),
+    "row mix must be a tuple or list, got NoneType": lambda: Equilibrium(None, (1.0,), 0.0, 0.0, "pure"),
+    "row mix entry must be a number, got str": lambda: Equilibrium(("a",), (1.0,), 0.0, 0.0, "pure"),
+    "column mix entry must be in [0, 1.79769e+308], got -0.5": lambda: Equilibrium(
+        (1.0,), (-0.5, 1.5), 0.0, 0.0, "pure"
+    ),
+    "row mix entry must be in [0, 1.79769e+308], got nan": lambda: Equilibrium(
+        (math.nan, 1.0), (1.0,), 0.0, 0.0, "pure"
+    ),
+    "row mix entry must be a number, got bool": lambda: expected_payoffs(ransom_game(), (True, 0), (0.5, 0.5)),
+    "population mix has length 3, expected 2": lambda: replicator_step(pd_game(5, 3, 1, 0), (0.5, 0.25, 0.25), 0.1),
+    "population mix entry must be in [0, 1.79769e+308], got inf": lambda: replicator_step(
+        pd_game(5, 3, 1, 0), (math.inf, 0.5), 0.1
+    ),
+    "column mix must sum to 1, got 0.5": lambda: expected_payoffs(ransom_game(), (1, 0), (0.25, 0.25)),
+    "sweep SPS scores must be a tuple or list, got str": lambda: SweepResult(
+        SweepSpec("A", 20), ("a", *(_COLUMN,) * 3)
+    ),
+    "sweep DC scores hold 100 values for 101 points": lambda: SweepResult(
+        SweepSpec("A", 20), (*(_COLUMN,) * 3, _COLUMN[1:])
+    ),
+    "sweep SPS score 50 must be a number, got NoneType": lambda: SweepResult(
+        SweepSpec("A", 20), _columns_with(0, None)
+    ),
+    "sweep S score 50 must be a number, got str": lambda: SweepResult(SweepSpec("A", 20), _columns_with(1, "x")),
+    "sweep DP score 50 must be a number, got bool": lambda: SweepResult(SweepSpec("A", 20), _columns_with(2, True)),
+    "sweep DC score 50 must be in [-1.79769e+308, 1.79769e+308], got inf": lambda: SweepResult(
+        SweepSpec("A", 20), _columns_with(3, math.inf)
+    ),
+    "sweep SPS score 50 must be in [-1.79769e+308, 1.79769e+308], got nan": lambda: SweepResult(
+        SweepSpec("A", 20), _columns_with(0, math.nan)
+    ),
+    "sweep row t must be an integer, got str": lambda: SweepRow("x", _SCORES),
+    "sweep row t must be an integer, got bool": lambda: SweepRow(True, _SCORES),
+    "sweep row scores must be a ScoreSet, got NoneType": lambda: SweepRow(0, None),
+    "network document must be a JSON object, got list": lambda: network_from_dict([]),
+    "network document missing keys: ['edges']": lambda: network_from_dict({"hosts": [], "clouds": []}),
+    "network document has unknown keys: ['extra']": lambda: network_from_dict({**_NETWORK_DOC, "extra": []}),
+    "catalog document missing keys: ['strategies']": lambda: catalog_from_dict({"strategy": []}),
+    "runs must be a positive integer, got True": lambda: monte_carlo_f(Network((), (), ()), _CONFIG, True),
+    "runs must be a positive integer, got 1.5": lambda: monte_carlo_f(Network((), (), ()), _CONFIG, 1.5),
+    "runs must be a positive integer, got 0": lambda: monte_carlo_f(Network((), (), ()), _CONFIG, 0),
+}
+
+
+@pytest.mark.parametrize("message", LABEL_MESSAGES, ids=range(len(LABEL_MESSAGES)))
+def test_labelled_checks_keep_their_messages(message):
+    with pytest.raises(ValidationError) as err:
+        LABEL_MESSAGES[message]()
     assert str(err.value) == message
 
 
