@@ -1,4 +1,8 @@
-"""Shared exception type, the field checks every layer builds on, and the network, catalog and game document codec."""
+"""Shared exception type, the field checks every layer builds on, and the network, catalog and game document codec.
+
+A check's label is a ``%`` format and its arguments, formatted only when the check raises. Only this module decides
+what a check accepts: an exact int or float in range passes at once, alone or as a sequence (:func:`plain_numbers`).
+"""
 
 from __future__ import annotations
 
@@ -23,25 +27,36 @@ class ValidationError(ValueError):
 
 
 _KIND_NAMES = {int: "an integer", str: "a string", bool: "a boolean", list: "a list", dict: "a JSON object"}
+FLOAT_MAX = float.fromhex("0x1.fffffffffffffp+1023")  # sys.float_info.max: the bound of every finite-number check
 
 
-def check_number(value: object, what: str, lo: float, hi: float) -> None:
-    """Reject anything but an int or float (never a bool) in ``[lo, hi]``.
-
-    The bounds are finite, so the range test also rejects NaN, infinities
-    and integers beyond float range.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{what} must be a number, got {type(value).__name__}")
+def check_number(value: object, lo: float, hi: float, what: str, *args: object) -> None:
+    """Reject anything but an int or float (never a bool) in ``[lo, hi]``: finite bounds also reject NaN and inf."""
+    if type(value) not in (int, float) and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        raise ValidationError(f"{what % args} must be a number, got {type(value).__name__}")
     if not lo <= value <= hi:
-        raise ValidationError(f"{what} must be in [{lo:g}, {hi:g}], got {value!r}")
+        raise ValidationError(f"{what % args} must be in [{lo:g}, {hi:g}], got {value!r}")
 
 
-def check_type(value: object, kind: type, what: str) -> None:
+def plain_numbers(items: tuple | list, lo: float, hi: float, ints: bool = True) -> bool:
+    """Whether :func:`check_number` passes each element: an exact float (or int, if ``ints``), with a finite sum."""
+    kinds = {*map(type, items)}
+    if kinds <= {float} and abs(sum(items)) <= FLOAT_MAX:  # so no NaN or inf: test only a bound inside float range
+        return not items or (lo <= -FLOAT_MAX or lo <= min(items)) and (FLOAT_MAX <= hi or max(items) <= hi)
+    # An int may lie beyond float range, so its range test comes before the sum converts it.
+    return ints and kinds <= {int, float} and lo <= min(items) <= max(items) <= hi and abs(sum(items, 0.0)) <= FLOAT_MAX
+
+
+def check_type(value: object, kind: type, what: str, *args: object) -> None:
     """Reject ``value`` unless it is a ``kind``; a bool never counts as an int."""
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+    if type(value) is not kind and not is_kind(value, kind):
         name = _KIND_NAMES.get(kind) or f"{'an' if kind.__name__[0] in 'AEIOU' else 'a'} {kind.__name__}"
-        raise ValidationError(f"{what} must be {name}, got {type(value).__name__}")
+        raise ValidationError(f"{what % args} must be {name}, got {type(value).__name__}")
+
+
+def is_kind(value: object, kind: type) -> bool:
+    """Whether ``value`` is a ``kind`` by :func:`check_type`'s rule: a bool never counts as an int."""
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
 
 
 def check_path(path: object, what: str) -> None:
@@ -50,32 +65,29 @@ def check_path(path: object, what: str) -> None:
         raise ValidationError(f"{what} must be a string or path, got {type(path).__name__}")
 
 
-def check_sequence(items: object, what: str) -> tuple:
+def check_sequence(items: object, what: str, *args: object) -> tuple:
     """Return ``items`` as a tuple, rejecting anything but a tuple or list."""
     if not isinstance(items, (tuple, list)):
-        raise ValidationError(f"{what} must be a tuple or list, got {type(items).__name__}")
+        raise ValidationError(f"{what % args} must be a tuple or list, got {type(items).__name__}")
     return tuple(items)
 
 
-def check_items(items: object, kind: type[T], what: str, item_what: str) -> tuple[T, ...]:
-    """Return ``items`` as a tuple, rejecting anything but a tuple or list of ``kind`` instances.
-
-    A rejected element is named by ``item_what`` and its index.
-    """
-    items = check_sequence(items, what)
-    for k, item in enumerate(items):
-        if type(item) is not kind:  # an exact match passes check_type; only others pay for it
-            check_type(item, kind, f"{item_what} {k}")
+def check_items(items: object, kind: type[T], what: str, item_what: str, *args: object) -> tuple[T, ...]:
+    """Return a tuple or list of ``kind`` instances as a tuple; ``item_what % args`` and an index name a bad one."""
+    items = check_sequence(items, what, *args)
+    if not {*map(type, items)} <= {kind}:
+        for k, item in enumerate(items):
+            check_type(item, kind, item_what + " %s", *args, k)
     return items
 
 
 def check_keys(data: object, what: str, required: Collection[str], optional: Collection[str] = ()) -> None:
     """Reject ``data`` unless it is a JSON object with every required key and no others."""
     check_type(data, dict, what)
-    missing = [key for key in required if key not in data]
-    if missing:
-        raise ValidationError(f"{what} missing keys: {missing}")
-    if len(data) > len(required):  # all required keys are present, so only then can others be
+    if len(data) != len(required) or not all(map(data.__contains__, required)):  # not exactly the required keys
+        missing = [key for key in required if key not in data]
+        if missing:
+            raise ValidationError(f"{what} missing keys: {missing}")
         unknown = sorted((key for key in data if key not in required and key not in optional), key=str)
         if unknown:
             raise ValidationError(f"{what} has unknown keys: {unknown}")
@@ -113,8 +125,7 @@ def from_dict(kind: type[T], data: object, what: str, nested: bool = False) -> T
     element (``host 0 state``); an element by its parents, its class's first word and index (``cloud 0``).
     """
     required, optional, readers = _schema(kind)
-    if type(data) is not dict or data.keys() != required.keys():  # exactly the required keys pass check_keys
-        check_keys(data, what, required, optional)
+    check_keys(data, what, required, optional)
     if not readers:
         return kind(**data)
     args = dict(data)

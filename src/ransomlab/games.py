@@ -15,11 +15,12 @@ keyed by the :class:`BimatrixGame` field names; payoff cells are ``[r, c]``.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .errors import ValidationError, check_items, check_number, check_sequence, check_type, from_dict, to_dict
+from .errors import (
+    FLOAT_MAX, ValidationError, check_items, check_number, check_sequence, check_type, from_dict, plain_numbers, to_dict
+)
 
 __all__ = [
     "BimatrixGame",
@@ -39,9 +40,6 @@ __all__ = [
 ]
 
 Cell = tuple[float, float]
-
-_FLOAT_MAX = sys.float_info.max
-_PLAIN_NUMBERS = (int, float)
 
 
 @dataclass(frozen=True)
@@ -66,25 +64,18 @@ class BimatrixGame:
             raise ValidationError(f"payoff matrix has {len(rows)} rows, expected {len(row_labels)}")
         payoffs = []
         for i, row in enumerate(rows):
-            row = check_sequence(row, f"payoff row {i}")
+            row = check_sequence(row, "payoff row %s", i)
             if len(row) != len(col_labels):
                 raise ValidationError(f"payoff row {i} has {len(row)} cells, expected {len(col_labels)}")
-            cells = []
-            for j, cell in enumerate(row):
-                if not (isinstance(cell, (list, tuple)) and len(cell) == 2):
-                    raise ValidationError(f"payoff cell ({i}, {j}) must be a [row, col] pair")
-                x, y = cell
-                # A plain int or float within float range passes check_number, so only other values
-                # pay for the two calls; they raise its messages.
-                if not (
-                    type(x) in _PLAIN_NUMBERS and type(y) in _PLAIN_NUMBERS
-                    and -_FLOAT_MAX <= x <= _FLOAT_MAX and -_FLOAT_MAX <= y <= _FLOAT_MAX
-                ):
-                    what = f"payoff cell ({i}, {j})"
-                    check_number(x, what, -_FLOAT_MAX, _FLOAT_MAX)
-                    check_number(y, what, -_FLOAT_MAX, _FLOAT_MAX)
-                cells.append((float(x), float(y)))
-            payoffs.append(tuple(cells))
+            values = [x for cell in row if isinstance(cell, (list, tuple)) and len(cell) == 2 for x in cell]
+            if len(values) < 2 * len(row) or not plain_numbers(values, -FLOAT_MAX, FLOAT_MAX):
+                for j, cell in enumerate(row):  # the first bad cell raises
+                    if not (isinstance(cell, (list, tuple)) and len(cell) == 2):
+                        raise ValidationError(f"payoff cell ({i}, {j}) must be a [row, col] pair")
+                    for x in cell:
+                        check_number(x, -FLOAT_MAX, FLOAT_MAX, "payoff cell (%s, %s)", i, j)
+            values = map(float, values)
+            payoffs.append(tuple(zip(values, values)))
         # frozen: store the normalized form
         object.__setattr__(self, "row_labels", row_labels)
         object.__setattr__(self, "col_labels", col_labels)
@@ -120,8 +111,8 @@ class Equilibrium:
             raise ValidationError(f"equilibrium kind must be 'pure' or 'mixed', got {self.kind!r}")
         row_mix = _check_mix(self.row_mix, None, "row")
         col_mix = _check_mix(self.col_mix, None, "column")
-        check_number(self.row_value, "row value", -_FLOAT_MAX, _FLOAT_MAX)
-        check_number(self.col_value, "column value", -_FLOAT_MAX, _FLOAT_MAX)
+        check_number(self.row_value, -FLOAT_MAX, FLOAT_MAX, "row value")
+        check_number(self.col_value, -FLOAT_MAX, FLOAT_MAX, "column value")
         object.__setattr__(self, "row_mix", row_mix)  # frozen: store tuples
         object.__setattr__(self, "col_mix", col_mix)
 
@@ -162,7 +153,7 @@ def pd_game(t: float, r: float, p: float, s: float) -> BimatrixGame:
     Requires the canonical ordering T > R > P > S.
     """
     for name, x in zip("TRPS", (t, r, p, s)):
-        check_number(x, f"prisoner's dilemma {name}", -_FLOAT_MAX, _FLOAT_MAX)
+        check_number(x, -FLOAT_MAX, FLOAT_MAX, "prisoner's dilemma %s", name)
     if not (t > r > p > s):
         raise ValidationError(f"prisoner's dilemma requires T > R > P > S, got ({t}, {r}, {p}, {s})")
     return BimatrixGame(
@@ -178,8 +169,8 @@ def snowdrift_game(b: float, c: float) -> BimatrixGame:
     Cooperators split the cost: (b - c/2) each when both shovel, (b - c) for a
     lone shoveler whose free-riding partner gets b, and 0 for mutual defection.
     """
-    check_number(b, "snowdrift b", -_FLOAT_MAX, _FLOAT_MAX)
-    check_number(c, "snowdrift c", -_FLOAT_MAX, _FLOAT_MAX)
+    check_number(b, -FLOAT_MAX, FLOAT_MAX, "snowdrift b")
+    check_number(c, -FLOAT_MAX, FLOAT_MAX, "snowdrift c")
     if not (b > c > 0):
         raise ValidationError(f"snowdrift requires b > c > 0, got (b={b}, c={c})")
     return BimatrixGame(
@@ -273,12 +264,12 @@ def dominant_strategies(g: BimatrixGame) -> tuple[list[str], list[str]]:
 
 def _check_mix(mix: object, n: int | None, which: str) -> tuple[float, ...]:
     """Return ``mix`` as a tuple of ``n`` (any number when None) finite nonnegative weights summing to 1."""
-    mix = check_sequence(mix, f"{which} mix")
+    mix = check_sequence(mix, "%s mix", which)
     if n is not None and len(mix) != n:
         raise ValidationError(f"{which} mix has length {len(mix)}, expected {n}")
-    for x in mix:
-        if not (type(x) in _PLAIN_NUMBERS and 0 <= x <= _FLOAT_MAX):  # as for cells: only others pay for the call
-            check_number(x, f"{which} mix entry", 0, _FLOAT_MAX)
+    if not plain_numbers(mix, 0, FLOAT_MAX):
+        for x in mix:
+            check_number(x, 0, FLOAT_MAX, "%s mix entry", which)
     if abs(sum(mix) - 1.0) > 1e-9:
         raise ValidationError(f"{which} mix must sum to 1, got {sum(mix)}")
     return mix
@@ -320,7 +311,7 @@ def replicator_step(g: BimatrixGame, pop: tuple[float, ...], dt: float) -> tuple
             if g.row_payoff(i, j) != g.col_payoff(j, i):
                 raise ValidationError("replicator_step requires a symmetric game")
     pop = _check_mix(pop, g.n_rows, "population")
-    check_number(dt, "dt", -_FLOAT_MAX, _FLOAT_MAX)
+    check_number(dt, -FLOAT_MAX, FLOAT_MAX, "dt")
     if not dt > 0:
         raise ValidationError(f"dt must be positive and finite, got {dt}")
 

@@ -48,14 +48,13 @@ So a call formats only the columns that read the fixed variable, and a
 from __future__ import annotations
 
 import functools
-import sys
 from dataclasses import dataclass
 from itertools import chain
 from operator import is_
 from pathlib import Path
 from typing import Iterable
 
-from .errors import ValidationError, check_number, check_path, check_sequence, check_type
+from .errors import FLOAT_MAX, ValidationError, check_number, check_path, check_sequence, check_type, plain_numbers
 from .scoring import (
     METRICS, VARIABLE_KEYS, ScoreSet, TraitProfile, disinfection_payoff_of, disinfection_probability_of, score_all,
     severity_of, spreadability_of,
@@ -115,7 +114,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.fixed_variable not in VARIABLE_KEYS:
             raise ValidationError(f"fixed_variable must be one of A..I, got {self.fixed_variable!r}")
-        check_number(self.fixed_value, "fixed_value", 0, 100)
+        check_number(self.fixed_value, 0, 100, "fixed_value")
 
 
 @dataclass(frozen=True)
@@ -124,9 +123,8 @@ class SweepRow:
     scores: ScoreSet
 
     def __post_init__(self) -> None:
-        if type(self.t) is not int or type(self.scores) is not ScoreSet:  # exact types skip the calls
-            check_type(self.t, int, "sweep row t")
-            check_type(self.scores, ScoreSet, "sweep row scores")
+        check_type(self.t, int, "sweep row t")
+        check_type(self.scores, ScoreSet, "sweep row scores")
 
 
 @dataclass(frozen=True)
@@ -160,20 +158,18 @@ class SweepResult:
 
 
 _COLUMN_INDEX = {metric: k for k, metric in enumerate(METRICS)}
-_FLOAT_MAX = sys.float_info.max
 _POINTS = tuple(range(101))  # the sweep axis t, the same in every sweep
 
 
 def _score_column(column: object, metric: str) -> tuple[float, ...]:
     """Return ``column`` as a tuple of one finite float per point, rejecting anything else."""
-    column = check_sequence(column, f"sweep {metric} scores")
+    column = check_sequence(column, "sweep %s scores", metric)
     if len(column) != len(_POINTS):
         raise ValidationError(f"sweep {metric} scores hold {len(column)} values for {len(_POINTS)} points")
-    # Exact floats with a finite sum skip the calls: a NaN or an infinity makes the sum NaN or infinite.
-    if {*map(type, column)} <= {float} and -_FLOAT_MAX <= sum(column) <= _FLOAT_MAX:
+    if plain_numbers(column, -FLOAT_MAX, FLOAT_MAX, ints=False):  # an int column is stored as floats
         return column
     for k, x in enumerate(column):
-        check_number(x, f"sweep {metric} score {k}", -_FLOAT_MAX, _FLOAT_MAX)
+        check_number(x, -FLOAT_MAX, FLOAT_MAX, "sweep %s score %s", metric, k)
     return tuple(map(float, column))
 
 

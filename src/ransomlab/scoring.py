@@ -74,7 +74,7 @@ class TraitProfile:
 
     def __post_init__(self) -> None:
         for name, key in _VARIABLES:
-            check_number(getattr(self, name), key, 0, 100)
+            check_number(getattr(self, name), 0, 100, key)
 
 
 # Each field's name and its document key (the letter, upper-cased), in field order.
@@ -168,8 +168,8 @@ def disinfection_payoff(c: float, s: float) -> float:
       sh <= 0.8              ->  100 * ch * sh
       otherwise              ->  100 * ch
     """
-    check_number(c, "C", 0, 100)
-    check_number(s, "S", 0, 100)
+    check_number(c, 0, 100, "C")
+    check_number(s, 0, 100, "S")
     return disinfection_payoff_of(c, s)
 
 

@@ -31,11 +31,11 @@ per-edge lists and run this schedule over them. :func:`step` spells the same
 schedule out over ``Network`` objects; it is the reference oracle the tests
 compare the compiled kernel against, draw for draw.
 
-The work of one :func:`run` or :func:`monte_carlo_f` call is capped before
-any draw: ``runs * ticks * (2 * edges + hosts + 1)`` may be at most
-:data:`WORK_CAP` (``runs`` is 1 for :func:`run`; the ``+ 1`` counts a tick
-on a network with no hosts or edges). A call over the cap raises
-:class:`ValidationError` naming the cap.
+The work of one :func:`run` or :func:`monte_carlo_f` call is capped before any
+draw: ``runs * (ticks * (2 * edges + hosts + 1) + 1)`` may be at most
+:data:`WORK_CAP` (``runs`` is 1 for :func:`run`; the inner ``+ 1`` counts a tick
+on a network with no hosts or edges, the outer one a run, which seeds a generator
+and stores its result). Over the cap, :class:`ValidationError` names the cap.
 """
 
 from __future__ import annotations
@@ -43,9 +43,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
+from enum import Enum
 from itertools import repeat, starmap
 
-from .errors import ValidationError, check_items, check_number, check_type, from_dict, to_dict
+from .errors import ValidationError, check_items, check_number, check_type, from_dict, is_kind, to_dict
 
 __all__ = [
     "HostState",
@@ -66,10 +67,8 @@ __all__ = [
     "WORK_CAP",
 ]
 
-# The most ``runs * ticks * (2 * edges + hosts + 1)`` one simulation call may schedule.
+# The most ``runs * (ticks * (2 * edges + hosts + 1) + 1)`` one simulation call may schedule.
 WORK_CAP = 10**10
-
-from enum import Enum
 
 
 class HostState(Enum):
@@ -90,8 +89,8 @@ class Host:
     def __post_init__(self) -> None:
         check_type(self.id, int, "host id")
         check_type(self.state, HostState, "host state")
-        check_number(self.awareness, f"host {self.id} awareness", 0, 100)
-        check_number(self.protection, f"host {self.id} protection", 0, 100)
+        check_number(self.awareness, 0, 100, "host %s awareness", self.id)
+        check_number(self.protection, 0, 100, "host %s protection", self.id)
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,7 @@ class CloudStore:
 
     def __post_init__(self) -> None:
         check_type(self.id, int, "cloud id")
-        check_type(self.contaminated, bool, f"cloud {self.id} contaminated")
+        check_type(self.contaminated, bool, "cloud %s contaminated", self.id)
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,7 @@ class Edge:
     def __post_init__(self) -> None:
         check_type(self.host, int, "edge host")
         check_type(self.cloud, int, "edge cloud")
-        check_number(self.prob, f"edge ({self.host}, {self.cloud}) prob", 0, 1)
+        check_number(self.prob, 0, 1, "edge (%s, %s) prob", self.host, self.cloud)
 
 
 @dataclass(frozen=True)
@@ -129,9 +128,9 @@ class Network:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        for name, kind in (("hosts", Host), ("clouds", CloudStore), ("edges", Edge)):
-            items = check_items(getattr(self, name), kind, f"network {name}", f"network {name[:-1]}")
-            object.__setattr__(self, name, items)  # frozen: store tuples, so equal networks hash equal
+        for name, kind in (("host", Host), ("cloud", CloudStore), ("edge", Edge)):
+            items = check_items(getattr(self, name + "s"), kind, "network %ss", "network %s", name)
+            object.__setattr__(self, name + "s", items)  # frozen: store tuples, so equal networks hash equal
         host_ids = [h.id for h in self.hosts]
         cloud_ids = [c.id for c in self.clouds]
         if len(host_ids) != len(set(host_ids)):
@@ -153,7 +152,7 @@ class Network:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Run parameters. The seed is mandatory; there is no wall-clock default."""
+    """Run parameters. The seed is mandatory and nonnegative, as ``Random(-k)`` draws like ``Random(k)``."""
 
     ticks: int
     base_infection_prob: float
@@ -165,10 +164,12 @@ class SimConfig:
         check_type(self.ticks, int, "ticks")
         if self.ticks < 0:
             raise ValidationError(f"ticks must be nonnegative, got {self.ticks}")
-        check_number(self.base_infection_prob, "base_infection_prob", 0, 1)
-        check_number(self.clean_prob_per_tick, "clean_prob_per_tick", 0, 1)
+        check_number(self.base_infection_prob, 0, 1, "base_infection_prob")
+        check_number(self.clean_prob_per_tick, 0, 1, "clean_prob_per_tick")
         check_type(self.reinfection_allowed, bool, "reinfection_allowed")
         check_type(self.seed, int, "seed")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -353,8 +354,8 @@ def _check_args(net: Network, cfg: SimConfig) -> None:
 
 
 def _check_work(net: Network, cfg: SimConfig, runs: int) -> None:
-    if runs * cfg.ticks * (2 * len(net.edges) + len(net.hosts) + 1) > WORK_CAP:
-        raise ValidationError(f"runs * ticks * (2 * edges + hosts + 1) must be at most the work cap {WORK_CAP}")
+    if runs * (cfg.ticks * (2 * len(net.edges) + len(net.hosts) + 1) + 1) > WORK_CAP:
+        raise ValidationError(f"runs * (ticks * (2 * edges + hosts + 1) + 1) must be at most the work cap {WORK_CAP}")
 
 
 def run(net: Network, cfg: SimConfig) -> Trajectory:
@@ -383,7 +384,7 @@ def monte_carlo_f(net: Network, cfg: SimConfig, runs: int) -> MonteCarloSummary:
     deviation (zero for a single run).
     """
     _check_args(net, cfg)
-    if not isinstance(runs, int) or isinstance(runs, bool) or runs < 1:
+    if not is_kind(runs, int) or runs < 1:
         raise ValidationError(f"runs must be a positive integer, got {runs!r}")
     _check_work(net, cfg, runs)
     kernel = _Kernel(net, cfg)

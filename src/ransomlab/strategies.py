@@ -61,9 +61,9 @@ class Step:
 
     def __post_init__(self) -> None:
         check_type(self.description, str, "step description")
-        check_number(self.complexity, f"step '{self.description}' complexity", 0, 10)
+        check_number(self.complexity, 0, 10, "step '%s' complexity", self.description)
         if self.note is not None:
-            check_type(self.note, str, f"step '{self.description}' note")
+            check_type(self.note, str, "step '%s' note", self.description)
 
 
 @dataclass(frozen=True)
@@ -79,13 +79,13 @@ class Strategy:
 
     def __post_init__(self) -> None:
         check_type(self.name, str, "strategy name")
-        steps = check_items(self.steps, Step, f"strategy '{self.name}' steps", f"strategy '{self.name}' step")
+        steps = check_items(self.steps, Step, "strategy '%s' steps", "strategy '%s' step", self.name)
         object.__setattr__(self, "steps", steps)  # frozen: store a tuple, so equal strategies hash equal
-        check_number(self.overall_complexity, f"strategy '{self.name}' complexity", 0, 10)
+        check_number(self.overall_complexity, 0, 10, "strategy '%s' complexity", self.name)
         if not isinstance(self.effectiveness, Level) or not isinstance(self.reinfection_risk, Level):
             raise ValidationError(f"strategy '{self.name}' levels must be Low/Medium/High")
         if self.note is not None:
-            check_type(self.note, str, f"strategy '{self.name}' note")
+            check_type(self.note, str, "strategy '%s' note", self.name)
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ def rank_strategies(
     if len(weights) != 4:
         raise ValidationError(f"expected 4 ranking weights, got {len(weights)}")
     for w in weights:
-        check_number(w, "ranking weight", 0, 1)
+        check_number(w, 0, 1, "ranking weight")
     if abs(sum(weights) - 1.0) > 1e-9:
         raise ValidationError(f"ranking weights must sum to 1, got {sum(weights)}")
 

@@ -272,4 +272,13 @@ def test_simulate_over_the_work_cap_exits_2_before_running(capsys, sample_dir):
     )
     assert code == 2
     assert out == ""
-    assert err == "error: runs * ticks * (2 * edges + hosts + 1) must be at most the work cap 10000000000\n"
+    assert err == "error: runs * (ticks * (2 * edges + hosts + 1) + 1) must be at most the work cap 10000000000\n"
+
+
+def test_simulate_with_a_negative_seed_exits_2(capsys, sample_dir):
+    code, out, err = invoke(
+        capsys, "simulate", "--network", str(sample_dir / "ring8.json"), "--ticks", "5", "--p", "0.3", "--seed", "-1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed must be nonnegative, got -1\n"

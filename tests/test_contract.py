@@ -16,6 +16,7 @@ and take numbers their callers have checked.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import importlib
 import json
@@ -30,7 +31,7 @@ from hypothesis import strategies as st
 
 import ransomlab
 from ransomlab import games, ingest, report, scoring, simnet, strategies
-from ransomlab.errors import ValidationError
+from ransomlab.errors import ValidationError, check_items, check_number, check_sequence, check_type
 from ransomlab.games import BimatrixGame, Equilibrium, pd_game, pure_nash, ransom_game
 from ransomlab.ingest import ProfileDocument, parse_profile_document
 from ransomlab.report import MetricComparison, ProfileComparison, SweepResult, SweepRow, SweepSpec, sweep
@@ -227,3 +228,55 @@ def test_every_argument_rejects_or_takes_each_hostile_value(function, tmp_path, 
                 function(*args[:k], value, *args[k + 1 :])
             except ValidationError:
                 pass
+
+
+# -- labels: a format and its arguments, formatted only when a check raises ------
+
+
+def _label_builders(tree: ast.AST):
+    """Each call to a ``check_*`` function (private ones too) that builds a string for an argument."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", "")
+        if not func.lstrip("_").startswith("check_"):
+            continue
+        for arg in node.args:
+            formats = isinstance(arg, ast.Call) and isinstance(arg.func, ast.Attribute) and arg.func.attr == "format"
+            if isinstance(arg, ast.JoinedStr) or isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Mod) or formats:
+                yield node.lineno, func
+
+
+@pytest.mark.parametrize("path", sorted((REPO_ROOT / "src" / "ransomlab").glob("*.py")), ids=lambda path: path.name)
+def test_no_check_call_formats_its_label_before_it_fails(path):
+    assert list(_label_builders(ast.parse(path.read_text(encoding="utf-8")))) == []
+
+
+def test_the_label_guard_sees_each_way_of_building_a_string():
+    calls = 'check_type(x, int, f"a {k}")\n_check_mix(m, None, "%s" % w)\ncheck_number(x, 0, 1, "{}".format(k))\n'
+    assert [func for _, func in _label_builders(ast.parse(calls))] == ["check_type", "_check_mix", "check_number"]
+
+
+class _Unprintable:
+    """A label argument that fails the test if it is ever formatted."""
+
+    def __str__(self) -> str:
+        raise AssertionError("a passing check formatted its label")
+
+    __repr__ = __str__
+
+
+def test_a_passing_check_never_formats_its_label():
+    class Count(int):
+        pass
+
+    arg = _Unprintable()
+    for value in (5, 2.5, Count(3)):  # exact types, and a subclass that takes the per-value path
+        check_number(value, 0, 10, "x %s", arg)
+        check_type(value, type(value), "x %s", arg)
+    check_type(True, bool, "x %s", arg)
+    check_type(Count(1), int, "x %s", arg)
+    check_sequence([1], "x %s", arg)
+    check_items((1, Count(2)), int, "x %s", "x %s item", arg)
+    with pytest.raises(AssertionError, match="formatted its label"):
+        check_number(11, 0, 10, "x %s", arg)

@@ -98,6 +98,15 @@ def test_edge_and_config_reject_out_of_range_probabilities():
         SimConfig(ticks=-1, base_infection_prob=0, clean_prob_per_tick=0, reinfection_allowed=False, seed=1)
 
 
+def test_config_rejects_a_negative_seed():
+    # Random(-k) and Random(k) give the same stream, so runs seeded -k and k would be one run twice.
+    assert random.Random(-3).random() == random.Random(3).random()
+    assert cfg(seed=0).seed == 0
+    with pytest.raises(ValidationError) as err:
+        cfg(seed=-1)
+    assert str(err.value) == "seed must be nonnegative, got -1"
+
+
 # -- single-step behavior ------------------------------------------------------
 
 
@@ -325,11 +334,14 @@ def test_monte_carlo_rejects_zero_runs():
 
 
 def test_work_cap_admits_exactly_the_cap():
-    empty = Network(hosts=(), clouds=(), edges=())  # one slot per tick: the "+ 1"
-    _check_work(empty, cfg(ticks=WORK_CAP), 1)
+    empty = Network(hosts=(), clouds=(), edges=())  # one slot per tick, and one per run
+    _check_work(empty, cfg(ticks=WORK_CAP - 1), 1)
     _check_work(star(2), cfg(ticks=WORK_CAP // 7), 1)  # 2 * 2 edges + 2 hosts + 1 = 7 slots a tick
-    with pytest.raises(ValidationError, match=f"work cap {WORK_CAP}"):
-        _check_work(empty, cfg(ticks=WORK_CAP), 2)
+    _check_work(ring8(), cfg(ticks=0), WORK_CAP)  # a run with no ticks still counts one
+    over = ((empty, cfg(ticks=WORK_CAP), 1), (ring8(), cfg(ticks=0), WORK_CAP + 1), (empty, cfg(ticks=0), 10**12))
+    for network, config, runs in over:
+        with pytest.raises(ValidationError, match=f"work cap {WORK_CAP}"):
+            _check_work(network, config, runs)
 
 
 @pytest.mark.parametrize(

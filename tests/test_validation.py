@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from ransomlab import strategies as strategies_module
 from ransomlab.cli import main
-from ransomlab.errors import ValidationError, check_keys
+from ransomlab.errors import ValidationError, check_keys, check_number, plain_numbers
 from ransomlab.games import (
     BimatrixGame, Equilibrium, expected_payoffs, game_from_dict, game_to_dict, pd_game, ransom_game, replicator_step,
     snowdrift_game,
@@ -382,6 +382,35 @@ def test_game_cells_accept_ints_and_floats_but_not_bools():
 
 
 # -- shared helper and catalog -------------------------------------------------
+
+
+class _Score(float):
+    pass
+
+
+_MAX = sys.float_info.max
+_ELEMENTS = (
+    st.floats() | st.integers() | st.sampled_from([10**400, -(10**400), int(_MAX), int(_MAX) + 1, _MAX, True, None])
+    | st.builds(_Score, st.floats(-10, 10))
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(items=st.lists(_ELEMENTS, max_size=6), bounds=st.sampled_from([(-_MAX, _MAX), (0, _MAX), (0, 1), (-2.5, 7)]))
+def test_plain_numbers_answers_exactly_what_check_number_passes(items, bounds):
+    lo, hi = bounds
+
+    def passes(x):
+        try:
+            check_number(x, lo, hi, "x")
+        except ValidationError:
+            return False
+        return True
+
+    exact = all(type(x) in (int, float) for x in items)
+    finite = exact and all(map(passes, items)) and math.isfinite(sum(map(float, items)))  # the sum in float arithmetic
+    assert plain_numbers(items, lo, hi) == finite
+    assert plain_numbers(items, lo, hi, ints=False) == (finite and all(type(x) is float for x in items))
 
 
 def test_enum_fields_name_every_allowed_value():
