@@ -17,10 +17,13 @@ and take numbers their callers have checked.
 from __future__ import annotations
 
 import ast
+import copy
 import dataclasses
+import hashlib
 import importlib
 import json
 import math
+import pickle
 import pkgutil
 import random
 from pathlib import Path
@@ -280,3 +283,105 @@ def test_a_passing_check_never_formats_its_label():
     check_items((1, Count(2)), int, "x %s", "x %s item", arg)
     with pytest.raises(AssertionError, match="formatted its label"):
         check_number(11, 0, 10, "x %s", arg)
+
+
+# -- records: repr, equality, hashing, pickling, copying and immutability, pinned ------
+
+_COMPARISON = report.compare_profiles(_PROFILE, TraitProfile(a=90, b=60, c=90, d=100, e=10, f=15, g=25, h=60, i=75))
+_TRAJECTORY = simnet.run(_NETWORK, _CONFIG)
+
+# One instance of each output-only type, as the library builds it.
+OUTPUTS = {
+    ScoreSet: _COMPARISON.first,
+    MetricComparison: _COMPARISON.metrics[0],
+    ProfileComparison: _COMPARISON,
+    TickCounts: _TRAJECTORY.counts[1],
+    Trajectory: _TRAJECTORY,
+    MonteCarloSummary: simnet.monte_carlo_f(_NETWORK, _CONFIG, 3),
+}
+RECORDS = {**VALID, **OUTPUTS}
+
+# Each record's repr; one longer than 200 characters by the start of its SHA-256.
+REPRS = {
+    Host: "Host(id=0, state=<HostState.INFECTED: 'Infected'>, awareness=0, protection=0)",
+    CloudStore: "CloudStore(id=0, contaminated=False)",
+    Edge: "Edge(host=0, cloud=0, prob=1.0)",
+    Network: "sha256:f2a0beb0c3878e0e",
+    Step: "Step(description='Click in every file of the computer', complexity=8, "
+    "note='depends since it is more time consuming than complex')",
+    Strategy: "sha256:5fc6481e572c0a0e",
+    StrategyCatalog: "sha256:c4960b55d0c37347",
+    ProfileDocument: "ProfileDocument(name='Company A', "
+    "profile=TraitProfile(a=20, b=25, c=25, d=100, e=80, f=90, g=25, h=60, i=15))",
+    TraitProfile: "TraitProfile(a=20, b=25, c=25, d=100, e=80, f=90, g=25, h=60, i=15)",
+    BimatrixGame: "BimatrixGame(row_labels=('NotPay', 'Pay'), col_labels=('Decrypt', 'NotDecrypt'), "
+    "payoffs=(((100.0, 0.0), (-40.0, 0.0)), ((10.0, 100.0), (-100.0, 100.0))))",
+    Equilibrium: "Equilibrium(row_mix=(0.0, 1.0), col_mix=(0.0, 1.0), row_value=1.0, col_value=1.0, kind='pure')",
+    SimConfig: "SimConfig(ticks=5, base_infection_prob=0.5, clean_prob_per_tick=0.1, reinfection_allowed=True, seed=1)",
+    SweepSpec: "SweepSpec(fixed_variable='A', fixed_value=20)",
+    SweepRow: "SweepRow(t=1, scores=ScoreSet(sps=56.3, severity=14.825, "
+    "disinfection_probability=28.350000000000005, disinfection_payoff=0.0))",
+    SweepResult: "sha256:9bd94a183212a5f1",
+    ScoreSet: "ScoreSet(sps=83.0, severity=59.75, disinfection_probability=31.0, disinfection_payoff=14.9375)",
+    MetricComparison: "MetricComparison(metric='SPS', first=83.0, second=11.5, higher='first')",
+    ProfileComparison: "sha256:cf4afead4a9d0084",
+    TickCounts: "TickCounts(tick=1, susceptible=3, infected=0, cleaned=1, contaminated_clouds=1)",
+    Trajectory: "sha256:d167d24aeb5ac8d5",
+    MonteCarloSummary: "MonteCarloSummary(mean_f=91.66666666666667, stddev_f=11.785113019775793, "
+    "final_fs=(100.0, 100.0, 75.0))",
+}
+
+
+def _pinned_repr(instance) -> str:
+    text = repr(instance)
+    return text if len(text) <= 200 else "sha256:" + hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_every_record_type_has_one_pinned_instance():
+    assert set(OUTPUTS) == set(OUTPUT_ONLY)
+    assert set(REPRS) == set(RECORDS)
+
+
+@pytest.mark.parametrize("kind", RECORDS, ids=lambda kind: kind.__name__)
+def test_record_repr_is_pinned(kind):
+    assert _pinned_repr(RECORDS[kind]) == REPRS[kind]
+
+
+def _listed(value):
+    """``value`` with every tuple, nested ones too, turned into a list; records are left as they are."""
+    return [_listed(x) for x in value] if isinstance(value, tuple) else value
+
+
+@pytest.mark.parametrize("kind", RECORDS, ids=lambda kind: kind.__name__)
+def test_records_built_from_lists_or_tuples_are_equal_and_hash_equal(kind):
+    instance = RECORDS[kind]
+    values = _fields(instance)
+    # Only the checked types take lists; an output-only type stores what it is given.
+    builds = [kind(**values), kind(**{name: _listed(x) for name, x in values.items()})] if kind in VALID else [
+        kind(**values)
+    ]
+    for built in builds:
+        assert built == instance and not built != instance
+        assert hash(built) == hash(instance) == hash(tuple(values.values()))
+    assert instance.__eq__(object()) is NotImplemented
+    assert instance != object()
+
+
+@pytest.mark.parametrize("kind", RECORDS, ids=lambda kind: kind.__name__)
+def test_records_survive_pickle_and_copies(kind):
+    instance = RECORDS[kind]
+    for clone in (pickle.loads(pickle.dumps(instance)), copy.copy(instance), copy.deepcopy(instance)):
+        assert type(clone) is kind
+        assert clone == instance and hash(clone) == hash(instance) and repr(clone) == repr(instance)
+
+
+@pytest.mark.parametrize("kind", RECORDS, ids=lambda kind: kind.__name__)
+def test_records_refuse_setting_and_deleting_attributes(kind):
+    instance = RECORDS[kind]
+    before = repr(instance)
+    for name in [*_fields(instance), "extra"]:
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(instance, name, None)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(instance, name)
+    assert repr(instance) == before
