@@ -1,12 +1,13 @@
-"""Shared exception type, the field checks every layer builds on, and the network, catalog and game document codec.
+"""Shared exception type, the :class:`Record` base of every value type, the field checks, and the document codec.
 
 A check's label is a ``%`` format and its arguments, formatted only when the check raises. Only this module decides
 what a check accepts: an exact int or float in range passes at once, alone or as a sequence (:func:`plain_numbers`).
+The value types are records, not dataclasses; :func:`fields` and :func:`replace` stand in for the ``dataclasses``
+functions of those names.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import re
 from enum import Enum
@@ -81,73 +82,133 @@ def check_items(items: object, kind: type[T], what: str, item_what: str, *args: 
     return items
 
 
-def check_keys(data: object, what: str, required: Collection[str], optional: Collection[str] = ()) -> None:
-    """Reject ``data`` unless it is a JSON object with every required key and no others."""
-    check_type(data, dict, what)
+def check_keys(
+    data: object, what: str, required: Collection[str], optional: Collection[str] = (), *args: object
+) -> None:
+    """Reject ``data`` unless it is a JSON object with every required key and no others; ``what % args`` names it."""
+    check_type(data, dict, what, *args)
     if len(data) != len(required) or not all(map(data.__contains__, required)):  # not exactly the required keys
         missing = [key for key in required if key not in data]
         if missing:
-            raise ValidationError(f"{what} missing keys: {missing}")
+            raise ValidationError(f"{what % args} missing keys: {missing}")
         unknown = sorted((key for key in data if key not in required and key not in optional), key=str)
         if unknown:
-            raise ValidationError(f"{what} has unknown keys: {unknown}")
+            raise ValidationError(f"{what % args} has unknown keys: {unknown}")
 
 
-def check_enum(value: object, kind: type[EnumT], what: str) -> EnumT:
+def check_enum(value: object, kind: type[EnumT], what: str, *args: object) -> EnumT:
     """Return the member of ``kind`` whose value is ``value``, or reject it naming every allowed value."""
     try:
         return kind(value)
     except ValueError:
         allowed = "/".join(member.value for member in kind)
-        raise ValidationError(f"{what} must be one of {allowed}, got {value!r}") from None
+        raise ValidationError(f"{what % args} must be one of {allowed}, got {value!r}") from None
+
+
+class Record:
+    """A frozen value: its fields are its class's ``__init__`` parameters, which check and ``object.__setattr__`` them.
+
+    Equality, hashing and ``repr`` read the fields in order, as a frozen dataclass's do. Setting or deleting any
+    attribute raises :class:`AttributeError`. A plain ``__dict__`` keeps ``pickle`` and ``copy`` working.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def fields(record: Record | type[Record]) -> tuple[str, ...]:
+    """The field names of a record or record type, in order."""
+    return record._fields
+
+
+def replace(record: T, **changes: object) -> T:
+    """A new record like ``record`` but with ``changes``, built (and so checked) by its class."""
+    return type(record)(**{name: getattr(record, name) for name in record._fields} | changes)
 
 
 @functools.cache
-def _schema(kind: type) -> tuple:
-    """A dataclass's required keys as a dict, optional keys (``X | None = None`` fields: no reader) and readers."""
-    hints, fields = get_type_hints(kind), dataclasses.fields(kind)
+def _schema(kind: type[Record]) -> tuple:
+    """A record type's required keys as a dict, optional keys (``X | None = None`` fields: no reader) and readers."""
+    hints, names, defaults = get_type_hints(kind.__init__), kind._fields, kind.__init__.__defaults__ or ()
+    optional = tuple(name for name, default in zip(names[len(names) - len(defaults) :], defaults) if default is None)
     readers = []
-    for f in fields:
-        hint = hints[f.name]
+    for name in names:
+        hint = hints[name]
         if get_origin(hint) is tuple:
             item = get_args(hint)[0]
-            readers.append((f.name, None, item if dataclasses.is_dataclass(item) else None))
+            readers.append((name, None, item if isinstance(item, type) and issubclass(item, Record) else None))
         elif isinstance(hint, type) and issubclass(hint, Enum):
-            readers.append((f.name, hint, None))
-    optional = tuple(f.name for f in fields if f.default is None)
-    return dict.fromkeys(f.name for f in fields if f.name not in optional), optional, tuple(readers)
+            readers.append((name, hint, None))
+    return dict.fromkeys(name for name in names if name not in optional), optional, tuple(readers)
 
 
-def from_dict(kind: type[T], data: object, what: str, nested: bool = False) -> T:
-    """Build a ``kind`` from its JSON document, keyed by field name: enums by value, tuples from lists.
+def from_dict(kind: type[T], data: object, what: str, *args: object) -> T:
+    """Build a ``kind`` from its JSON document ``what % args``, keyed by field name: enums by value, tuples from lists.
 
-    The constructor checks every value. Messages name a field by key (``'hosts'``), or after its ``nested``
-    element (``host 0 state``); an element by its parents, its class's first word and index (``cloud 0``).
+    The constructor checks every value. A document's fields are named by key (``'hosts'``). An element's label is
+    a format with its index among ``args`` (``cloud %s``); its fields are named after it (``host 0 state``), and its
+    own elements by its label, their class's first word and index (``strategy 0 step 1``).
     """
     required, optional, readers = _schema(kind)
-    check_keys(data, what, required, optional)
+    check_keys(data, what, required, optional, *args)
     if not readers:
         return kind(**data)
-    args = dict(data)
+    values = dict(data)
     for name, enum, item in readers:
-        label = f"{what} {name}" if nested else f"'{name}'"
+        label = f"{what} {name}" if args else f"'{name}'"  # a format, as ``what`` is
         if enum is not None:
-            args[name] = check_enum(args[name], enum, label)
+            values[name] = check_enum(values[name], enum, label, *args)
         else:
-            check_type(args[name], list, label)
+            check_type(values[name], list, label, *args)
         if item is not None:
-            lead = (f"{what} " if nested else "") + re.match("[A-Z][a-z]*", item.__name__)[0].lower()
-            args[name] = tuple([from_dict(item, x, f"{lead} {k}", True) for k, x in enumerate(args[name])])
-    return kind(**args)
+            word = re.match("[A-Z][a-z]*", item.__name__)[0].lower()
+            values[name] = _elements(item, values[name], f"{what} {word} %s" if args else f"{word} %s", args)
+    return kind(**values)
 
 
-def to_dict(value: object) -> dict:
+def _elements(kind: type[T], docs: list, what: str, args: tuple) -> tuple[T, ...]:
+    """A ``kind`` from each document in ``docs``, labelled ``what % (*args, index)``, as :func:`from_dict` builds it.
+
+    When ``kind`` has no readers and every document has exactly its required keys, each goes straight to the
+    constructor.
+    """
+    required, _, readers = _schema(kind)
+    if not readers and all(type(doc) is dict and doc.keys() == required.keys() for doc in docs):
+        return tuple([kind(**doc) for doc in docs])
+    return tuple([from_dict(kind, doc, what, *args, k) for k, doc in enumerate(docs)])
+
+
+def to_dict(value: Record) -> dict:
     """The document :func:`from_dict` reads back as ``value``; optional fields holding None are left out."""
-    fields = ((f, getattr(value, f.name)) for f in dataclasses.fields(value))
-    return {f.name: _to_json(x) for f, x in fields if x is not None or f.default is not None}
+    optional = _schema(type(value))[1]
+    items = ((name, getattr(value, name)) for name in value._fields)
+    return {name: _to_json(x) for name, x in items if x is not None or name not in optional}
 
 
 def _to_json(value: object) -> object:
     if isinstance(value, tuple):
         return [_to_json(x) for x in value]
-    return value.value if isinstance(value, Enum) else to_dict(value) if dataclasses.is_dataclass(value) else value
+    return value.value if isinstance(value, Enum) else to_dict(value) if isinstance(value, Record) else value

@@ -15,11 +15,11 @@ keyed by the :class:`BimatrixGame` field names; payoff cells are ``[r, c]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import (
-    FLOAT_MAX, ValidationError, check_items, check_number, check_sequence, check_type, from_dict, plain_numbers, to_dict
+    FLOAT_MAX, Record, ValidationError, check_items, check_number, check_sequence, check_type, from_dict, plain_numbers,
+    to_dict,
 )
 
 __all__ = [
@@ -42,27 +42,24 @@ __all__ = [
 Cell = tuple[float, float]
 
 
-@dataclass(frozen=True)
-class BimatrixGame:
+class BimatrixGame(Record):
     """A two-player game: ``payoffs[i][j]`` is ``(row_payoff, col_payoff)``.
 
     Payoffs may be given as finite ints or floats in nested lists or tuples;
     the game stores them as tuples of float pairs.
     """
 
-    row_labels: tuple[str, ...]
-    col_labels: tuple[str, ...]
-    payoffs: tuple[tuple[Cell, ...], ...]
-
-    def __post_init__(self) -> None:
-        row_labels = check_items(self.row_labels, str, "row labels", "row label")
-        col_labels = check_items(self.col_labels, str, "column labels", "column label")
-        rows = check_sequence(self.payoffs, "payoff matrix")
+    def __init__(
+        self, row_labels: tuple[str, ...], col_labels: tuple[str, ...], payoffs: tuple[tuple[Cell, ...], ...]
+    ) -> None:
+        row_labels = check_items(row_labels, str, "row labels", "row label")
+        col_labels = check_items(col_labels, str, "column labels", "column label")
+        rows = check_sequence(payoffs, "payoff matrix")
         if not row_labels or not col_labels:
             raise ValidationError("a game needs at least one row and one column")
         if len(rows) != len(row_labels):
             raise ValidationError(f"payoff matrix has {len(rows)} rows, expected {len(row_labels)}")
-        payoffs = []
+        table = []
         for i, row in enumerate(rows):
             row = check_sequence(row, "payoff row %s", i)
             if len(row) != len(col_labels):
@@ -75,11 +72,10 @@ class BimatrixGame:
                     for x in cell:
                         check_number(x, -FLOAT_MAX, FLOAT_MAX, "payoff cell (%s, %s)", i, j)
             values = map(float, values)
-            payoffs.append(tuple(zip(values, values)))
-        # frozen: store the normalized form
+            table.append(tuple(zip(values, values)))
         object.__setattr__(self, "row_labels", row_labels)
         object.__setattr__(self, "col_labels", col_labels)
-        object.__setattr__(self, "payoffs", tuple(payoffs))
+        object.__setattr__(self, "payoffs", tuple(table))
 
     @property
     def n_rows(self) -> int:
@@ -96,25 +92,23 @@ class BimatrixGame:
         return self.payoffs[i][j][1]
 
 
-@dataclass(frozen=True)
-class Equilibrium:
-    """A solution point: mixed strategies, the value to each player, and kind."""
+class Equilibrium(Record):
+    """A solution point: mixed strategies, the value to each player, and kind ("pure" or "mixed")."""
 
-    row_mix: tuple[float, ...]
-    col_mix: tuple[float, ...]
-    row_value: float
-    col_value: float
-    kind: str  # "pure" | "mixed"
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("pure", "mixed"):
-            raise ValidationError(f"equilibrium kind must be 'pure' or 'mixed', got {self.kind!r}")
-        row_mix = _check_mix(self.row_mix, None, "row")
-        col_mix = _check_mix(self.col_mix, None, "column")
-        check_number(self.row_value, -FLOAT_MAX, FLOAT_MAX, "row value")
-        check_number(self.col_value, -FLOAT_MAX, FLOAT_MAX, "column value")
-        object.__setattr__(self, "row_mix", row_mix)  # frozen: store tuples
+    def __init__(
+        self, row_mix: tuple[float, ...], col_mix: tuple[float, ...], row_value: float, col_value: float, kind: str
+    ) -> None:
+        if kind not in ("pure", "mixed"):
+            raise ValidationError(f"equilibrium kind must be 'pure' or 'mixed', got {kind!r}")
+        row_mix = _check_mix(row_mix, None, "row")  # stored as tuples
+        col_mix = _check_mix(col_mix, None, "column")
+        check_number(row_value, -FLOAT_MAX, FLOAT_MAX, "row value")
+        check_number(col_value, -FLOAT_MAX, FLOAT_MAX, "column value")
+        object.__setattr__(self, "row_mix", row_mix)
         object.__setattr__(self, "col_mix", col_mix)
+        object.__setattr__(self, "row_value", row_value)
+        object.__setattr__(self, "col_value", col_value)
+        object.__setattr__(self, "kind", kind)
 
 
 # Ransom game cell order (row-major): (NotPay, Decrypt), (NotPay, NotDecrypt),

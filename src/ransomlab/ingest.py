@@ -14,11 +14,10 @@ keyed by their uppercase letters::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import ValidationError, check_keys, check_path, check_type
+from .errors import Record, ValidationError, check_keys, check_path, check_type
 from .scoring import VARIABLE_KEYS, TraitProfile
 
 if TYPE_CHECKING:
@@ -37,16 +36,14 @@ __all__ = [
     "load_json",
 ]
 
-@dataclass(frozen=True)
-class ProfileDocument:
+class ProfileDocument(Record):
     """A named trait profile as stored on disk."""
 
-    name: str
-    profile: TraitProfile
-
-    def __post_init__(self) -> None:
-        check_type(self.name, str, "'name'")
-        check_type(self.profile, TraitProfile, "profile")
+    def __init__(self, name: str, profile: TraitProfile) -> None:
+        check_type(name, str, "'name'")
+        check_type(profile, TraitProfile, "profile")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "profile", profile)
 
 
 def parse_profile_document(data: dict) -> ProfileDocument:

@@ -48,13 +48,14 @@ So a call formats only the columns that read the fixed variable, and a
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import chain
 from operator import is_
 from pathlib import Path
 from typing import Iterable
 
-from .errors import FLOAT_MAX, ValidationError, check_number, check_path, check_sequence, check_type, plain_numbers
+from .errors import (
+    FLOAT_MAX, Record, ValidationError, check_number, check_path, check_sequence, check_type, plain_numbers,
+)
 from .scoring import (
     METRICS, VARIABLE_KEYS, ScoreSet, TraitProfile, disinfection_payoff_of, disinfection_probability_of, score_all,
     severity_of, spreadability_of,
@@ -74,21 +75,21 @@ __all__ = [
     "render_svg",
 ]
 
-@dataclass(frozen=True)
-class MetricComparison:
-    """One metric side by side, with an ordering flag when values differ."""
+class MetricComparison(Record):
+    """One metric side by side; ``higher`` is "first" or "second" when values differ, None on a tie."""
 
-    metric: str
-    first: float
-    second: float
-    higher: str | None  # "first" | "second" | None on a tie
+    def __init__(self, metric: str, first: float, second: float, higher: str | None) -> None:
+        object.__setattr__(self, "metric", metric)
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
+        object.__setattr__(self, "higher", higher)
 
 
-@dataclass(frozen=True)
-class ProfileComparison:
-    first: ScoreSet
-    second: ScoreSet
-    metrics: tuple[MetricComparison, ...]
+class ProfileComparison(Record):
+    def __init__(self, first: ScoreSet, second: ScoreSet, metrics: tuple[MetricComparison, ...]) -> None:
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
+        object.__setattr__(self, "metrics", metrics)
 
 
 def compare_profiles(p1: TraitProfile, p2: TraitProfile) -> ProfileComparison:
@@ -104,46 +105,39 @@ def compare_profiles(p1: TraitProfile, p2: TraitProfile) -> ProfileComparison:
     return ProfileComparison(first=s1, second=s2, metrics=tuple(metrics))
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Record):
     """One variable held fixed; all others walk t = 0..100 together."""
 
-    fixed_variable: str
-    fixed_value: float
-
-    def __post_init__(self) -> None:
-        if self.fixed_variable not in VARIABLE_KEYS:
-            raise ValidationError(f"fixed_variable must be one of A..I, got {self.fixed_variable!r}")
-        check_number(self.fixed_value, 0, 100, "fixed_value")
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    t: int
-    scores: ScoreSet
-
-    def __post_init__(self) -> None:
-        check_type(self.t, int, "sweep row t")
-        check_type(self.scores, ScoreSet, "sweep row scores")
+    def __init__(self, fixed_variable: str, fixed_value: float) -> None:
+        if fixed_variable not in VARIABLE_KEYS:
+            raise ValidationError(f"fixed_variable must be one of A..I, got {fixed_variable!r}")
+        check_number(fixed_value, 0, 100, "fixed_value")
+        object.__setattr__(self, "fixed_variable", fixed_variable)
+        object.__setattr__(self, "fixed_value", fixed_value)
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepRow(Record):
+    def __init__(self, t: int, scores: ScoreSet) -> None:
+        check_type(t, int, "sweep row t")
+        check_type(scores, ScoreSet, "sweep row scores")
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "scores", scores)
+
+
+class SweepResult(Record):
     """A sweep as one score column per metric, in :data:`METRICS` order, over the points t = 0..100.
 
     Takes tuples or lists and stores tuples; every score column holds 101
     finite floats, one per point. :attr:`rows` derives the per-point view.
     """
 
-    spec: SweepSpec
-    scores: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self) -> None:
-        check_type(self.spec, SweepSpec, "sweep spec")
-        columns = check_sequence(self.scores, "sweep scores")
+    def __init__(self, spec: SweepSpec, scores: tuple[tuple[float, ...], ...]) -> None:
+        check_type(spec, SweepSpec, "sweep spec")
+        columns = check_sequence(scores, "sweep scores")
         if len(columns) != len(METRICS):
             raise ValidationError(f"sweep scores must hold {len(METRICS)} columns, got {len(columns)}")
-        object.__setattr__(self, "scores", tuple(map(_score_column, columns, METRICS)))  # frozen: store tuples
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "scores", tuple(map(_score_column, columns, METRICS)))
 
     @property
     def rows(self) -> tuple[SweepRow, ...]:

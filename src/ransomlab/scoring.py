@@ -25,10 +25,9 @@ but a :class:`TraitProfile` where a profile is taken, raise
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from operator import attrgetter
 
-from .errors import ValidationError, check_number, check_type
+from .errors import Record, ValidationError, check_number, check_type, fields
 
 __all__ = [
     "TraitProfile",
@@ -47,8 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TraitProfile:
+class TraitProfile(Record):
     """The nine scenario variables, each on the closed interval [0, 100].
 
     a: user's awareness of the threat / computer literacy
@@ -62,34 +60,36 @@ class TraitProfile:
     i: safety of operations during/after the infection
     """
 
-    a: float
-    b: float
-    c: float
-    d: float
-    e: float
-    f: float
-    g: float
-    h: float
-    i: float
-
-    def __post_init__(self) -> None:
-        for name, key in _VARIABLES:
-            check_number(getattr(self, name), 0, 100, key)
-
-
-# Each field's name and its document key (the letter, upper-cased), in field order.
-_VARIABLES = tuple((field.name, field.name.upper()) for field in fields(TraitProfile))
-VARIABLE_KEYS = tuple(key for _, key in _VARIABLES)
+    def __init__(
+        self, a: float, b: float, c: float, d: float, e: float, f: float, g: float, h: float, i: float
+    ) -> None:
+        for key, value in zip(VARIABLE_KEYS, (a, b, c, d, e, f, g, h, i)):
+            check_number(value, 0, 100, key)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "i", i)
 
 
-@dataclass(frozen=True)
-class ScoreSet:
+# Each field's document key (the letter, upper-cased), in field order.
+VARIABLE_KEYS = tuple(name.upper() for name in fields(TraitProfile))
+
+
+class ScoreSet(Record):
     """The four scores computed from one trait profile."""
 
-    sps: float
-    severity: float
-    disinfection_probability: float
-    disinfection_payoff: float
+    def __init__(
+        self, sps: float, severity: float, disinfection_probability: float, disinfection_payoff: float
+    ) -> None:
+        object.__setattr__(self, "sps", sps)
+        object.__setattr__(self, "severity", severity)
+        object.__setattr__(self, "disinfection_probability", disinfection_probability)
+        object.__setattr__(self, "disinfection_payoff", disinfection_payoff)
 
     def values(self) -> tuple[float, float, float, float]:
         """The four scores in :data:`METRICS` order."""

@@ -42,11 +42,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import repeat, starmap
 
-from .errors import ValidationError, check_items, check_number, check_type, from_dict, is_kind, to_dict
+from .errors import (
+    Record, ValidationError, check_items, check_number, check_type, from_dict, is_kind, replace, to_dict,
+)
 
 __all__ = [
     "HostState",
@@ -77,62 +78,54 @@ class HostState(Enum):
     CLEANED = "Cleaned"
 
 
-@dataclass(frozen=True)
-class Host:
+class Host(Record):
     """A machine on the network; awareness and protection damp infection."""
 
-    id: int
-    state: HostState = HostState.SUSCEPTIBLE
-    awareness: float = 0.0
-    protection: float = 0.0
+    def __init__(
+        self, id: int, state: HostState = HostState.SUSCEPTIBLE, awareness: float = 0.0, protection: float = 0.0
+    ) -> None:
+        check_type(id, int, "host id")
+        check_type(state, HostState, "host state")
+        check_number(awareness, 0, 100, "host %s awareness", id)
+        check_number(protection, 0, 100, "host %s protection", id)
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "awareness", awareness)
+        object.__setattr__(self, "protection", protection)
 
-    def __post_init__(self) -> None:
-        check_type(self.id, int, "host id")
-        check_type(self.state, HostState, "host state")
-        check_number(self.awareness, 0, 100, "host %s awareness", self.id)
-        check_number(self.protection, 0, 100, "host %s protection", self.id)
 
-
-@dataclass(frozen=True)
-class CloudStore:
+class CloudStore(Record):
     """A shared store; once contaminated it stays contaminated for the run."""
 
-    id: int
-    contaminated: bool = False
+    def __init__(self, id: int, contaminated: bool = False) -> None:
+        check_type(id, int, "cloud id")
+        check_type(contaminated, bool, "cloud %s contaminated", id)
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "contaminated", contaminated)
 
-    def __post_init__(self) -> None:
-        check_type(self.id, int, "cloud id")
-        check_type(self.contaminated, bool, "cloud %s contaminated", self.id)
 
-
-@dataclass(frozen=True)
-class Edge:
+class Edge(Record):
     """A host-cloud interaction pair with a per-tick interaction probability."""
 
-    host: int
-    cloud: int
-    prob: float
+    def __init__(self, host: int, cloud: int, prob: float) -> None:
+        check_type(host, int, "edge host")
+        check_type(cloud, int, "edge cloud")
+        check_number(prob, 0, 1, "edge (%s, %s) prob", host, cloud)
+        object.__setattr__(self, "host", host)
+        object.__setattr__(self, "cloud", cloud)
+        object.__setattr__(self, "prob", prob)
 
-    def __post_init__(self) -> None:
-        check_type(self.host, int, "edge host")
-        check_type(self.cloud, int, "edge cloud")
-        check_number(self.prob, 0, 1, "edge (%s, %s) prob", self.host, self.cloud)
 
-
-@dataclass(frozen=True)
-class Network:
+class Network(Record):
     """Hosts, cloud stores, and the bipartite interaction edges between them."""
 
-    hosts: tuple[Host, ...]
-    clouds: tuple[CloudStore, ...]
-    edges: tuple[Edge, ...]
-
-    def __post_init__(self) -> None:
-        for name, kind in (("host", Host), ("cloud", CloudStore), ("edge", Edge)):
-            items = check_items(getattr(self, name + "s"), kind, "network %ss", "network %s", name)
-            object.__setattr__(self, name + "s", items)  # frozen: store tuples, so equal networks hash equal
-        host_ids = [h.id for h in self.hosts]
-        cloud_ids = [c.id for c in self.clouds]
+    def __init__(self, hosts: tuple[Host, ...], clouds: tuple[CloudStore, ...], edges: tuple[Edge, ...]) -> None:
+        # Stored as tuples, so equal networks hash equal.
+        hosts = check_items(hosts, Host, "network %ss", "network %s", "host")
+        clouds = check_items(clouds, CloudStore, "network %ss", "network %s", "cloud")
+        edges = check_items(edges, Edge, "network %ss", "network %s", "edge")
+        host_ids = [h.id for h in hosts]
+        cloud_ids = [c.id for c in clouds]
         if len(host_ids) != len(set(host_ids)):
             raise ValidationError("duplicate host ids")
         if len(cloud_ids) != len(set(cloud_ids)):
@@ -140,7 +133,7 @@ class Network:
         host_set = set(host_ids)
         cloud_set = set(cloud_ids)
         seen: set[tuple[int, int]] = set()
-        for e in self.edges:
+        for e in edges:
             if e.host not in host_set:
                 raise ValidationError(f"edge references unknown host id {e.host}")
             if e.cloud not in cloud_set:
@@ -148,54 +141,57 @@ class Network:
             if (e.host, e.cloud) in seen:
                 raise ValidationError(f"duplicate edge ({e.host}, {e.cloud})")
             seen.add((e.host, e.cloud))
+        object.__setattr__(self, "hosts", hosts)
+        object.__setattr__(self, "clouds", clouds)
+        object.__setattr__(self, "edges", edges)
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Record):
     """Run parameters. The seed is mandatory and nonnegative, as ``Random(-k)`` draws like ``Random(k)``."""
 
-    ticks: int
-    base_infection_prob: float
-    clean_prob_per_tick: float
-    reinfection_allowed: bool
-    seed: int
-
-    def __post_init__(self) -> None:
-        check_type(self.ticks, int, "ticks")
-        if self.ticks < 0:
-            raise ValidationError(f"ticks must be nonnegative, got {self.ticks}")
-        check_number(self.base_infection_prob, 0, 1, "base_infection_prob")
-        check_number(self.clean_prob_per_tick, 0, 1, "clean_prob_per_tick")
-        check_type(self.reinfection_allowed, bool, "reinfection_allowed")
-        check_type(self.seed, int, "seed")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
-
-
-@dataclass(frozen=True)
-class TickCounts:
-    tick: int
-    susceptible: int
-    infected: int
-    cleaned: int
-    contaminated_clouds: int
+    def __init__(
+        self, ticks: int, base_infection_prob: float, clean_prob_per_tick: float, reinfection_allowed: bool, seed: int
+    ) -> None:
+        check_type(ticks, int, "ticks")
+        if ticks < 0:
+            raise ValidationError(f"ticks must be nonnegative, got {ticks}")
+        check_number(base_infection_prob, 0, 1, "base_infection_prob")
+        check_number(clean_prob_per_tick, 0, 1, "clean_prob_per_tick")
+        check_type(reinfection_allowed, bool, "reinfection_allowed")
+        check_type(seed, int, "seed")
+        if seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {seed}")
+        object.__setattr__(self, "ticks", ticks)
+        object.__setattr__(self, "base_infection_prob", base_infection_prob)
+        object.__setattr__(self, "clean_prob_per_tick", clean_prob_per_tick)
+        object.__setattr__(self, "reinfection_allowed", reinfection_allowed)
+        object.__setattr__(self, "seed", seed)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class TickCounts(Record):
+    def __init__(self, tick: int, susceptible: int, infected: int, cleaned: int, contaminated_clouds: int) -> None:
+        object.__setattr__(self, "tick", tick)
+        object.__setattr__(self, "susceptible", susceptible)
+        object.__setattr__(self, "infected", infected)
+        object.__setattr__(self, "cleaned", cleaned)
+        object.__setattr__(self, "contaminated_clouds", contaminated_clouds)
+
+
+class Trajectory(Record):
     """Per-tick population counts plus the final ever-infected percentage."""
 
-    counts: tuple[TickCounts, ...]
-    final_f: float
+    def __init__(self, counts: tuple[TickCounts, ...], final_f: float) -> None:
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "final_f", final_f)
 
 
-@dataclass(frozen=True)
-class MonteCarloSummary:
+class MonteCarloSummary(Record):
     """Aggregate over independent runs of the same scenario."""
 
-    mean_f: float
-    stddev_f: float
-    final_fs: tuple[float, ...]
+    def __init__(self, mean_f: float, stddev_f: float, final_fs: tuple[float, ...]) -> None:
+        object.__setattr__(self, "mean_f", mean_f)
+        object.__setattr__(self, "stddev_f", stddev_f)
+        object.__setattr__(self, "final_fs", final_fs)
 
 
 _S, _I, _C = 0, 1, 2

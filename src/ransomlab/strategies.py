@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 
-from .errors import ValidationError, check_items, check_number, check_sequence, check_type, from_dict, to_dict
+from .errors import Record, ValidationError, check_items, check_number, check_sequence, check_type, from_dict, to_dict
 from .scoring import TraitProfile, disinfection_payoff, severity
 
 __all__ = [
@@ -51,56 +50,56 @@ EFFECTIVENESS_VALUES = {Level.LOW: 25.0, Level.MEDIUM: 60.0, Level.HIGH: 90.0}
 RISK_VALUES = {Level.LOW: 10.0, Level.MEDIUM: 50.0, Level.HIGH: 90.0}
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(Record):
     """One action within a recovery strategy."""
 
-    description: str
-    complexity: float
-    note: str | None = None
+    def __init__(self, description: str, complexity: float, note: str | None = None) -> None:
+        check_type(description, str, "step description")
+        check_number(complexity, 0, 10, "step '%s' complexity", description)
+        if note is not None:
+            check_type(note, str, "step '%s' note", description)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "complexity", complexity)
+        object.__setattr__(self, "note", note)
 
-    def __post_init__(self) -> None:
-        check_type(self.description, str, "step description")
-        check_number(self.complexity, 0, 10, "step '%s' complexity", self.description)
-        if self.note is not None:
-            check_type(self.note, str, "step '%s' note", self.description)
 
-
-@dataclass(frozen=True)
-class Strategy:
+class Strategy(Record):
     """A named recovery strategy with its steps and overall ratings."""
 
-    name: str
-    steps: tuple[Step, ...]
-    overall_complexity: float
-    effectiveness: Level
-    reinfection_risk: Level
-    note: str | None = None
+    def __init__(
+        self,
+        name: str,
+        steps: tuple[Step, ...],
+        overall_complexity: float,
+        effectiveness: Level,
+        reinfection_risk: Level,
+        note: str | None = None,
+    ) -> None:
+        check_type(name, str, "strategy name")
+        steps = check_items(steps, Step, "strategy '%s' steps", "strategy '%s' step", name)  # a tuple, so it hashes
+        check_number(overall_complexity, 0, 10, "strategy '%s' complexity", name)
+        if not isinstance(effectiveness, Level) or not isinstance(reinfection_risk, Level):
+            raise ValidationError(f"strategy '{name}' levels must be Low/Medium/High")
+        if note is not None:
+            check_type(note, str, "strategy '%s' note", name)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "overall_complexity", overall_complexity)
+        object.__setattr__(self, "effectiveness", effectiveness)
+        object.__setattr__(self, "reinfection_risk", reinfection_risk)
+        object.__setattr__(self, "note", note)
 
-    def __post_init__(self) -> None:
-        check_type(self.name, str, "strategy name")
-        steps = check_items(self.steps, Step, "strategy '%s' steps", "strategy '%s' step", self.name)
-        object.__setattr__(self, "steps", steps)  # frozen: store a tuple, so equal strategies hash equal
-        check_number(self.overall_complexity, 0, 10, "strategy '%s' complexity", self.name)
-        if not isinstance(self.effectiveness, Level) or not isinstance(self.reinfection_risk, Level):
-            raise ValidationError(f"strategy '{self.name}' levels must be Low/Medium/High")
-        if self.note is not None:
-            check_type(self.note, str, "strategy '%s' note", self.name)
 
-
-@dataclass(frozen=True)
-class StrategyCatalog:
+class StrategyCatalog(Record):
     """An ordered collection of uniquely named strategies."""
 
-    strategies: tuple[Strategy, ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        strategies = check_items(self.strategies, Strategy, "catalog strategies", "catalog strategy")
-        object.__setattr__(self, "strategies", strategies)  # frozen: store a tuple, so equal catalogs hash equal
+    def __init__(self, strategies: tuple[Strategy, ...] = ()) -> None:
+        strategies = check_items(strategies, Strategy, "catalog strategies", "catalog strategy")  # a tuple: it hashes
         names = [s.name for s in strategies]
         if len(names) != len(set(names)):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ValidationError(f"duplicate strategy names: {dupes}")
+        object.__setattr__(self, "strategies", strategies)
 
 
 @functools.cache

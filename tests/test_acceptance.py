@@ -6,7 +6,6 @@ per criterion (the printed PASS lines plus pytest's own verdict per test).
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 import time
@@ -15,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from ransomlab.errors import replace
 from ransomlab.games import (
     BimatrixGame,
     expected_payoffs,
@@ -139,13 +139,13 @@ def test_criterion_5_scoring_property_suite():
         lo, hi = sorted((rng.uniform(0, 100), rng.uniform(0, 100)))
         if lo < hi:
             if not (
-                spreadability_score(dataclasses.replace(p, a=hi))
-                < spreadability_score(dataclasses.replace(p, a=lo))
+                spreadability_score(replace(p, a=hi))
+                < spreadability_score(replace(p, a=lo))
             ):
                 violations += 1
             if not (
-                spreadability_score(dataclasses.replace(p, f=hi))
-                > spreadability_score(dataclasses.replace(p, f=lo))
+                spreadability_score(replace(p, f=hi))
+                > spreadability_score(replace(p, f=lo))
             ):
                 violations += 1
             for name, direction in (
@@ -156,8 +156,8 @@ def test_criterion_5_scoring_property_suite():
                 ("e", -1),
                 ("f", -1),
             ):
-                low_dp = disinfection_probability(dataclasses.replace(p, **{name: lo}))
-                high_dp = disinfection_probability(dataclasses.replace(p, **{name: hi}))
+                low_dp = disinfection_probability(replace(p, **{name: lo}))
+                high_dp = disinfection_probability(replace(p, **{name: hi}))
                 if direction > 0 and high_dp < low_dp:
                     violations += 1
                 if direction < 0 and high_dp > low_dp:

@@ -1,4 +1,4 @@
-"""The dataclass document codec behind the network, catalog and game documents.
+"""The record document codec behind the network, catalog and game documents.
 
 Every document these types write reads back as the value that wrote it, after
 a trip through JSON text, and a rejected document is named by the field or

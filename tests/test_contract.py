@@ -1,6 +1,6 @@
-"""Direct calls by introspection: every exported dataclass and public function either works or raises ValidationError.
+"""Direct calls by introspection: every exported record and public function either works or raises ValidationError.
 
-Each module's ``__all__`` is walked for dataclasses. Each one has a valid
+Each module's ``__all__`` is walked for :class:`~ransomlab.errors.Record` types. Each one has a valid
 instance in ``VALID`` or a reason in ``OUTPUT_ONLY``, so a new type cannot
 skip the contract. Replacing any one field of a valid instance with a
 hostile value must raise :class:`ValidationError` or give an instance that
@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import ast
 import copy
-import dataclasses
 import hashlib
 import importlib
+import inspect
 import json
 import math
 import pickle
@@ -34,7 +34,10 @@ from hypothesis import strategies as st
 
 import ransomlab
 from ransomlab import games, ingest, report, scoring, simnet, strategies
-from ransomlab.errors import ValidationError, check_items, check_number, check_sequence, check_type
+from ransomlab.errors import (
+    Record, ValidationError, check_enum, check_items, check_keys, check_number, check_sequence, check_type, fields,
+    from_dict,
+)
 from ransomlab.games import BimatrixGame, Equilibrium, pd_game, pure_nash, ransom_game
 from ransomlab.ingest import ProfileDocument, parse_profile_document
 from ransomlab.report import MetricComparison, ProfileComparison, SweepResult, SweepRow, SweepSpec, sweep
@@ -91,23 +94,23 @@ HOSTILE = (None, "ab", math.nan, math.inf, -1, 10**400, True, [], [1], {}, objec
 
 
 def _fields(instance) -> dict:
-    return {field.name: getattr(instance, field.name) for field in dataclasses.fields(instance)}
+    return {name: getattr(instance, name) for name in fields(instance)}
 
 
-def _exported_dataclasses() -> set[type]:
+def _exported_records() -> set[type]:
     found = set()
     for info in pkgutil.iter_modules(ransomlab.__path__):
         module = importlib.import_module(f"ransomlab.{info.name}")
         for name in getattr(module, "__all__", ()):
             value = getattr(module, name)
-            if isinstance(value, type) and dataclasses.is_dataclass(value):
+            if isinstance(value, type) and issubclass(value, Record):
                 found.add(value)
     return found
 
 
-def test_every_exported_dataclass_is_frozen_and_registered():
-    found = _exported_dataclasses()
-    assert all(kind.__dataclass_params__.frozen for kind in found)
+def test_every_exported_record_is_frozen_and_registered():
+    found = _exported_records()
+    assert all(kind.__setattr__ is Record.__setattr__ and kind.__delattr__ is Record.__delattr__ for kind in found)
     assert not set(VALID) & set(OUTPUT_ONLY)
     assert found == set(VALID) | set(OUTPUT_ONLY)
 
@@ -130,12 +133,12 @@ def _build_or_reject(kind: type, field: str, value: object) -> None:
 
 @pytest.mark.parametrize("kind", VALID, ids=lambda kind: kind.__name__)
 def test_every_field_rejects_or_stores_each_hostile_value(kind):
-    for field in dataclasses.fields(kind):
+    for field in fields(kind):
         for value in HOSTILE:
-            _build_or_reject(kind, field.name, value)
+            _build_or_reject(kind, field, value)
 
 
-_CASES = [(kind, field.name) for kind in VALID for field in dataclasses.fields(kind)]
+_CASES = [(kind, field) for kind in VALID for field in fields(kind)]
 _VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4) | st.sampled_from(HOSTILE),
     lambda children: st.lists(children, max_size=3) | st.tuples(children, children) | st.dictionaries(
@@ -237,12 +240,12 @@ def test_every_argument_rejects_or_takes_each_hostile_value(function, tmp_path, 
 
 
 def _label_builders(tree: ast.AST):
-    """Each call to a ``check_*`` function (private ones too) that builds a string for an argument."""
+    """Each call to ``from_dict`` or a ``check_*`` function (private ones too) that builds a string for an argument."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         func = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", "")
-        if not func.lstrip("_").startswith("check_"):
+        if not (func.lstrip("_").startswith("check_") or func == "from_dict"):
             continue
         for arg in node.args:
             formats = isinstance(arg, ast.Call) and isinstance(arg.func, ast.Attribute) and arg.func.attr == "format"
@@ -257,7 +260,10 @@ def test_no_check_call_formats_its_label_before_it_fails(path):
 
 def test_the_label_guard_sees_each_way_of_building_a_string():
     calls = 'check_type(x, int, f"a {k}")\n_check_mix(m, None, "%s" % w)\ncheck_number(x, 0, 1, "{}".format(k))\n'
-    assert [func for _, func in _label_builders(ast.parse(calls))] == ["check_type", "_check_mix", "check_number"]
+    calls += 'from_dict(Host, d, f"host {k}")\ncheck_enum(v, HostState, "%s state" % w)\n'
+    assert [func for _, func in _label_builders(ast.parse(calls))] == [
+        "check_type", "_check_mix", "check_number", "from_dict", "check_enum",
+    ]
 
 
 class _Unprintable:
@@ -281,6 +287,11 @@ def test_a_passing_check_never_formats_its_label():
     check_type(Count(1), int, "x %s", arg)
     check_sequence([1], "x %s", arg)
     check_items((1, Count(2)), int, "x %s", "x %s item", arg)
+    check_enum("Infected", simnet.HostState, "x %s", arg)
+    check_keys({"a": 1}, "x %s", ("a",), (), arg)
+    # An element label: its fields and its own elements are named after it, all formatted only on failure.
+    assert from_dict(Network, simnet.network_to_dict(_NETWORK), "x %s", arg) == _NETWORK
+    assert from_dict(StrategyCatalog, strategies.catalog_to_dict(_CATALOG), "x %s", arg) == _CATALOG
     with pytest.raises(AssertionError, match="formatted its label"):
         check_number(11, 0, 10, "x %s", arg)
 
@@ -340,6 +351,14 @@ def _pinned_repr(instance) -> str:
 def test_every_record_type_has_one_pinned_instance():
     assert set(OUTPUTS) == set(OUTPUT_ONLY)
     assert set(REPRS) == set(RECORDS)
+
+
+@pytest.mark.parametrize("kind", RECORDS, ids=lambda kind: kind.__name__)
+def test_record_fields_are_its_init_parameters(kind):
+    parameters = inspect.signature(kind).parameters.values()
+    assert all(parameter.kind is parameter.POSITIONAL_OR_KEYWORD for parameter in parameters)
+    assert tuple(parameter.name for parameter in parameters) == fields(kind) == fields(RECORDS[kind])
+    assert tuple(vars(RECORDS[kind])) == fields(kind)
 
 
 @pytest.mark.parametrize("kind", RECORDS, ids=lambda kind: kind.__name__)

@@ -2,8 +2,9 @@
 
 ``import ransomlab`` loads no submodule, and each ``ransomlab`` subcommand
 loads only the modules it runs; every package name still resolves on first
-use. Each check runs in a child process, because this one has already
-imported the whole package.
+use. None of them, and no package module imported alone, loads ``dataclasses``
+or ``inspect``. Each check runs in a child process, because this one has
+already imported the whole package.
 """
 
 from __future__ import annotations
@@ -33,7 +34,11 @@ SUBCOMMAND_MODULES = {
     "simulate": {"errors", "ingest", "scoring", "simnet"},
 }
 
-PRINT_MODULES = 'print(*sorted(m for m in sys.modules if m.split(".")[0] == "ransomlab"))'
+# Standard-library modules no package import may load: ``dataclasses`` brings ``inspect``, ``ast``, ``dis`` and
+# ``tokenize`` with it, about 10 ms of every ``ransomlab`` process.
+UNWANTED = {"dataclasses", "inspect"}
+
+PRINT_MODULES = f'print(*sorted(m for m in sys.modules if m.split(".")[0] == "ransomlab" or m in {UNWANTED!r}))'
 
 
 def _child(code: str) -> str:
@@ -48,7 +53,10 @@ def _child(code: str) -> str:
 
 
 def _loaded(code: str) -> set[str]:
-    return set(_child(f"import sys\n{code}\n{PRINT_MODULES}").split())
+    """The package modules ``code`` loads; it must load none of ``UNWANTED``."""
+    loaded = set(_child(f"import sys\n{code}\n{PRINT_MODULES}").split())
+    assert not loaded & UNWANTED, sorted(loaded & UNWANTED)
+    return loaded
 
 
 def test_bare_import_loads_no_submodule():

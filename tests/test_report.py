@@ -1,13 +1,11 @@
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ransomlab import report
-from ransomlab.errors import ValidationError
+from ransomlab.errors import ValidationError, replace
 from ransomlab.report import (
     SweepResult,
     SweepRow,
@@ -53,7 +51,7 @@ def test_compare_profile_with_itself_has_no_flags(company_a):
 
 def test_compare_rejects_zero_g(company_a):
     with pytest.raises(ValidationError, match="G"):
-        compare_profiles(dataclasses.replace(company_a, g=0), company_a)
+        compare_profiles(replace(company_a, g=0), company_a)
 
 
 def test_sweep_spec_validation():

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ransomlab.errors import ValidationError
+from ransomlab.errors import ValidationError, replace
 from ransomlab.scoring import (
     ScoreSet,
     TraitProfile,
@@ -198,11 +197,11 @@ def test_spreadability_monotonicity_on_random_profiles():
         lo, hi = sorted(rng.uniform(0, 100) for _ in range(2))
         if lo == hi:
             continue
-        assert spreadability_score(dataclasses.replace(p, a=hi)) < spreadability_score(
-            dataclasses.replace(p, a=lo)
+        assert spreadability_score(replace(p, a=hi)) < spreadability_score(
+            replace(p, a=lo)
         )
-        assert spreadability_score(dataclasses.replace(p, f=hi)) > spreadability_score(
-            dataclasses.replace(p, f=lo)
+        assert spreadability_score(replace(p, f=hi)) > spreadability_score(
+            replace(p, f=lo)
         )
 
 
@@ -212,10 +211,10 @@ def test_severity_monotonicity_on_random_profiles():
         p = _random_profile(rng)
         lo, hi = sorted(rng.uniform(0.001, 100) for _ in range(2))
         for name in "cefg":
-            assert severity(dataclasses.replace(p, **{name: hi})) >= severity(
-                dataclasses.replace(p, **{name: lo})
+            assert severity(replace(p, **{name: hi})) >= severity(
+                replace(p, **{name: lo})
             )
-        assert severity(dataclasses.replace(p, a=lo)) >= severity(dataclasses.replace(p, a=hi))
+        assert severity(replace(p, a=lo)) >= severity(replace(p, a=hi))
 
 
 def test_disinfection_probability_monotonicity_on_random_profiles():
@@ -225,12 +224,12 @@ def test_disinfection_probability_monotonicity_on_random_profiles():
         lo, hi = sorted(rng.uniform(0, 100) for _ in range(2))
         for name in "abhi":
             assert disinfection_probability(
-                dataclasses.replace(p, **{name: hi})
-            ) >= disinfection_probability(dataclasses.replace(p, **{name: lo}))
+                replace(p, **{name: hi})
+            ) >= disinfection_probability(replace(p, **{name: lo}))
         for name in "ef":
             assert disinfection_probability(
-                dataclasses.replace(p, **{name: hi})
-            ) <= disinfection_probability(dataclasses.replace(p, **{name: lo}))
+                replace(p, **{name: hi})
+            ) <= disinfection_probability(replace(p, **{name: lo}))
 
 
 def test_payoff_never_exceeds_criticality():
@@ -249,5 +248,5 @@ def test_payoff_ignores_awareness(company_a):
     c, s = company_a.c, severity(company_a)
     reference = disinfection_payoff(c, s)
     for a in (0, 20, 55, 80, 100):
-        p = dataclasses.replace(company_a, a=a)
+        p = replace(company_a, a=a)
         assert disinfection_payoff(p.c, s) == reference

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ransomlab import simnet
+from ransomlab.errors import replace
 from ransomlab.simnet import (
     CloudStore,
     Edge,

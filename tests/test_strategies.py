@@ -1,11 +1,10 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
 
-from ransomlab.errors import ValidationError
+from ransomlab.errors import ValidationError, replace
 from ransomlab.scoring import TraitProfile
 from ransomlab.strategies import (
     Level,
@@ -134,7 +133,7 @@ def test_raising_effectiveness_never_lowers_rank(company_a):
     for target in cat.strategies:
         bumped = StrategyCatalog(
             strategies=tuple(
-                dataclasses.replace(s, effectiveness=bumps[s.effectiveness]) if s.name == target.name else s
+                replace(s, effectiveness=bumps[s.effectiveness]) if s.name == target.name else s
                 for s in cat.strategies
             )
         )
