@@ -63,8 +63,15 @@ class TraitProfile(Record):
     def __init__(
         self, a: float, b: float, c: float, d: float, e: float, f: float, g: float, h: float, i: float
     ) -> None:
-        for key, value in zip(VARIABLE_KEYS, (a, b, c, d, e, f, g, h, i)):
-            check_number(value, 0, 100, key)
+        check_number(a, 0, 100, "A")
+        check_number(b, 0, 100, "B")
+        check_number(c, 0, 100, "C")
+        check_number(d, 0, 100, "D")
+        check_number(e, 0, 100, "E")
+        check_number(f, 0, 100, "F")
+        check_number(g, 0, 100, "G")
+        check_number(h, 0, 100, "H")
+        check_number(i, 0, 100, "I")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)

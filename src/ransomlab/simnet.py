@@ -45,9 +45,7 @@ import random
 from enum import Enum
 from itertools import repeat, starmap
 
-from .errors import (
-    Record, ValidationError, check_items, check_number, check_type, from_dict, is_kind, replace, to_dict,
-)
+from .errors import Record, ValidationError, check_items, check_number, check_type, from_dict, is_kind, replace, to_dict
 
 __all__ = [
     "HostState",

@@ -67,13 +67,8 @@ class Strategy(Record):
     """A named recovery strategy with its steps and overall ratings."""
 
     def __init__(
-        self,
-        name: str,
-        steps: tuple[Step, ...],
-        overall_complexity: float,
-        effectiveness: Level,
-        reinfection_risk: Level,
-        note: str | None = None,
+        self, name: str, steps: tuple[Step, ...], overall_complexity: float, effectiveness: Level,
+        reinfection_risk: Level, note: str | None = None,
     ) -> None:
         check_type(name, str, "strategy name")
         steps = check_items(steps, Step, "strategy '%s' steps", "strategy '%s' step", name)  # a tuple, so it hashes
@@ -94,7 +89,8 @@ class StrategyCatalog(Record):
     """An ordered collection of uniquely named strategies."""
 
     def __init__(self, strategies: tuple[Strategy, ...] = ()) -> None:
-        strategies = check_items(strategies, Strategy, "catalog strategies", "catalog strategy")  # a tuple: it hashes
+        # Stored as a tuple, so equal catalogs hash equal.
+        strategies = check_items(strategies, Strategy, "catalog strategies", "catalog strategy")
         names = [s.name for s in strategies]
         if len(names) != len(set(names)):
             dupes = sorted({n for n in names if names.count(n) > 1})
