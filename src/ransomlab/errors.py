@@ -39,13 +39,13 @@ def check_number(value: object, lo: float, hi: float, what: str, *args: object) 
         raise ValidationError(f"{what % args} must be in [{lo:g}, {hi:g}], got {value!r}")
 
 
-def plain_numbers(items: tuple | list, lo: float, hi: float, ints: bool = True) -> bool:
-    """Whether :func:`check_number` passes each element: an exact float (or int, if ``ints``), with a finite sum."""
+def plain_numbers(items: tuple | list, lo: float, hi: float) -> bool:
+    """Whether :func:`check_number` passes each element: an exact int or float, with a finite sum."""
     kinds = {*map(type, items)}
     if kinds <= {float} and abs(sum(items)) <= FLOAT_MAX:  # so no NaN or inf: test only a bound inside float range
         return not items or (lo <= -FLOAT_MAX or lo <= min(items)) and (FLOAT_MAX <= hi or max(items) <= hi)
     # An int may lie beyond float range, so its range test comes before the sum converts it.
-    return ints and kinds <= {int, float} and lo <= min(items) <= max(items) <= hi and abs(sum(items, 0.0)) <= FLOAT_MAX
+    return kinds <= {int, float} and lo <= min(items) <= max(items) <= hi and abs(sum(items, 0.0)) <= FLOAT_MAX
 
 
 def check_type(value: object, kind: type, what: str, *args: object) -> None:
@@ -108,8 +108,9 @@ def check_enum(value: object, kind: type[EnumT], what: str, *args: object) -> En
 class Record:
     """A frozen value: its fields are its class's ``__init__`` parameters, which check and ``object.__setattr__`` them.
 
-    Equality, hashing and ``repr`` read the fields in order, as a frozen dataclass's do. Setting or deleting any
-    attribute raises :class:`AttributeError`. A plain ``__dict__`` keeps ``pickle`` and ``copy`` working.
+    An ``__init__`` may also store attributes it derives from the fields; equality, hashing and ``repr`` read only
+    the fields, in order, as a frozen dataclass's do. Setting or deleting any attribute raises
+    :class:`AttributeError`. A plain ``__dict__`` keeps ``pickle`` and ``copy`` working, derived attributes too.
     """
 
     _fields: tuple[str, ...] = ()

@@ -27,11 +27,11 @@ fixed variable gives the same column in every sweep: that column is
 computed once per process and shared, and only the formulas that read the
 fixed variable are mapped.
 
-Every sweep has the same axis, the 101 points t = 0..100, so a
-:class:`SweepResult` stores only the four score columns, in
-:data:`~ransomlab.scoring.METRICS` order, one value per point. Its ``rows``
-property derives the per-point :class:`SweepRow` view on each access; the
-sweep and both renderers build no per-point object.
+Every sweep has the same axis, the 101 points t = 0..100, so a sweep is
+its :class:`SweepSpec`: ``SweepResult(spec)`` is the one way to build a
+:class:`SweepResult`, and it computes the four score columns, in
+:data:`~ransomlab.scoring.METRICS` order, one value per point. The sweep
+and both renderers build no per-point object.
 
 Rendering is deterministic: fixed four-decimal CSV (LF line endings) and a
 hand-assembled 800x600 SVG with one polyline per metric; identical results
@@ -40,9 +40,8 @@ set of shared score columns (at most 16). The template holds every cell
 that depends only on that set: the t cells, the SVG frame and each point's
 x, and the CSV cells and SVG y values of the shared columns. A column is
 shared only if it *is* the shared object; equality is not enough, as
-``-0.0 == 0.0`` but the two format differently.
-So a call formats only the columns that read the fixed variable, and a
-:class:`SweepResult` built with its own columns has every value formatted.
+``-0.0 == 0.0`` but the two format differently. So a call formats only
+the columns that read the fixed variable.
 """
 
 from __future__ import annotations
@@ -53,9 +52,7 @@ from operator import is_
 from pathlib import Path
 from typing import Iterable
 
-from .errors import (
-    FLOAT_MAX, Record, ValidationError, check_number, check_path, check_sequence, check_type, plain_numbers,
-)
+from .errors import Record, ValidationError, check_number, check_path, check_type
 from .scoring import (
     METRICS, VARIABLE_KEYS, ScoreSet, TraitProfile, disinfection_payoff_of, disinfection_probability_of, score_all,
     severity_of, spreadability_of,
@@ -63,7 +60,6 @@ from .scoring import (
 
 __all__ = [
     "SweepSpec",
-    "SweepRow",
     "SweepResult",
     "MetricComparison",
     "ProfileComparison",
@@ -116,33 +112,23 @@ class SweepSpec(Record):
         object.__setattr__(self, "fixed_value", fixed_value)
 
 
-class SweepRow(Record):
-    def __init__(self, t: int, scores: ScoreSet) -> None:
-        check_type(t, int, "sweep row t")
-        check_type(scores, ScoreSet, "sweep row scores")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "scores", scores)
-
-
 class SweepResult(Record):
-    """A sweep as one score column per metric, in :data:`METRICS` order, over the points t = 0..100.
+    """A sweep: its spec, and one score column per metric, in :data:`METRICS` order, over the points t = 0..100.
 
-    Takes tuples or lists and stores tuples; every score column holds 101
-    finite floats, one per point. :attr:`rows` derives the per-point view.
+    ``SweepResult(spec)`` checks ``spec`` and computes :attr:`scores` by column, as the module docstring describes:
+    four tuples of 101 floats, one value per point. They are a pure function of the spec, so ``spec`` is the one
+    field: equality, hashing and ``repr`` read it alone.
     """
 
-    def __init__(self, spec: SweepSpec, scores: tuple[tuple[float, ...], ...]) -> None:
+    def __init__(self, spec: SweepSpec) -> None:
         check_type(spec, SweepSpec, "sweep spec")
-        columns = check_sequence(scores, "sweep scores")
-        if len(columns) != len(METRICS):
-            raise ValidationError(f"sweep scores must hold {len(METRICS)} columns, got {len(columns)}")
+        value = float(spec.fixed_value)
+        if spec.fixed_variable == "G" and value == 0.0:
+            value = 1.0
+        columns = dict(_DIAGONAL_COLUMNS)
+        columns[spec.fixed_variable] = (value,) * len(_POINTS)
         object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "scores", tuple(map(_score_column, columns, METRICS)))
-
-    @property
-    def rows(self) -> tuple[SweepRow, ...]:
-        """One :class:`SweepRow` per point, built from the columns on each access."""
-        return tuple(map(SweepRow, _POINTS, map(ScoreSet, *self.scores)))
+        object.__setattr__(self, "scores", _mapped_scores(columns.values(), _diagonal_scores()))
 
     def column(self, metric: str) -> list[float]:
         k = _COLUMN_INDEX.get(metric) if isinstance(metric, str) else None
@@ -153,20 +139,6 @@ class SweepResult(Record):
 
 _COLUMN_INDEX = {metric: k for k, metric in enumerate(METRICS)}
 _POINTS = tuple(range(101))  # the sweep axis t, the same in every sweep
-
-
-def _score_column(column: object, metric: str) -> tuple[float, ...]:
-    """Return ``column`` as a tuple of one finite float per point, rejecting anything else."""
-    column = check_sequence(column, "sweep %s scores", metric)
-    if len(column) != len(_POINTS):
-        raise ValidationError(f"sweep {metric} scores hold {len(column)} values for {len(_POINTS)} points")
-    if plain_numbers(column, -FLOAT_MAX, FLOAT_MAX, ints=False):  # an int column is stored as floats
-        return column
-    for k, x in enumerate(column):
-        check_number(x, -FLOAT_MAX, FLOAT_MAX, "sweep %s score %s", metric, k)
-    return tuple(map(float, column))
-
-
 _DIAGONAL = tuple(map(float, _POINTS))
 _DIAGONAL_G = (1.0, *_DIAGONAL[1:])  # G floored at 1 where the diagonal is 0
 # Each unfixed variable's column, the same object in every sweep.
@@ -174,23 +146,11 @@ _DIAGONAL_COLUMNS = dict.fromkeys(VARIABLE_KEYS, _DIAGONAL) | {"G": _DIAGONAL_G}
 
 
 def sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the four metrics at every point t = 0..100 of the sweep.
-
-    Each variable is a column over t: the diagonal itself, or the fixed
-    value at every point, with G floored at 1. Each score formula that reads
-    the fixed variable is mapped over those columns once; the other score
-    columns are shared by every sweep.
-    """
-    check_type(spec, SweepSpec, "sweep spec")
-    value = float(spec.fixed_value)
-    if spec.fixed_variable == "G" and value == 0.0:
-        value = 1.0
-    columns = dict(_DIAGONAL_COLUMNS)
-    columns[spec.fixed_variable] = (value,) * len(_POINTS)
-    return SweepResult(spec, _score_columns(columns.values(), _diagonal_scores()))
+    """Evaluate the four metrics at every point t = 0..100 of the sweep: ``SweepResult(spec)``."""
+    return SweepResult(spec)
 
 
-def _score_columns(variables: Iterable[tuple[float, ...]], shared: tuple) -> tuple[tuple[float, ...], ...]:
+def _mapped_scores(variables: Iterable[tuple[float, ...]], shared: tuple) -> tuple[tuple[float, ...], ...]:
     """Map each score formula over the nine variable columns; return the score columns in :data:`METRICS` order.
 
     A formula whose inputs are all shared columns (the diagonals, or columns
@@ -217,7 +177,7 @@ def _score_columns(variables: Iterable[tuple[float, ...]], shared: tuple) -> tup
 @functools.cache
 def _diagonal_scores() -> tuple[tuple[float, ...], ...]:
     """The score columns with every variable on its diagonal: the columns sweeps share, built on first use."""
-    return _score_columns(_DIAGONAL_COLUMNS.values(), ())
+    return _mapped_scores(_DIAGONAL_COLUMNS.values(), ())
 
 
 def _split(result: SweepResult) -> tuple[tuple[bool, ...], list[tuple[float, ...]]]:

@@ -183,13 +183,14 @@ def disinfection_payoff(c: float, s: float) -> float:
 def score_all(p: TraitProfile) -> ScoreSet:
     """Compute all four scores; the payoff uses ``p.c`` and the computed severity.
 
-    The payoff takes the plain formula: ``p.c`` is checked by the profile, and
-    the severity of any valid profile lies in [0, 100].
+    :func:`severity` checks the profile once; the other scores take the plain
+    formulas, since every field is checked by the profile and the severity of
+    any valid profile lies in [0, 100].
     """
     s = severity(p)
     return ScoreSet(
-        sps=spreadability_score(p),
+        sps=spreadability_of(p.a, p.f),
         severity=s,
-        disinfection_probability=disinfection_probability(p),
+        disinfection_probability=disinfection_probability_of(p.a, p.b, p.e, p.f, p.h, p.i),
         disinfection_payoff=disinfection_payoff_of(p.c, s),
     )

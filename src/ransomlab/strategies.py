@@ -20,7 +20,7 @@ from enum import Enum
 from importlib import resources
 
 from .errors import Record, ValidationError, check_items, check_number, check_sequence, check_type, from_dict, to_dict
-from .scoring import TraitProfile, disinfection_payoff, severity
+from .scoring import TraitProfile, disinfection_payoff_of, severity
 
 __all__ = [
     "Level",
@@ -133,7 +133,7 @@ def rank_strategies(
     if abs(sum(weights) - 1.0) > 1e-9:
         raise ValidationError(f"ranking weights must sum to 1, got {sum(weights)}")
 
-    payoff = disinfection_payoff(p.c, severity(p))
+    payoff = disinfection_payoff_of(p.c, severity(p))  # severity checks G > 0; its value lies in [0, 100]
     literacy_discount = 1.0 - (p.a / 100.0) * 0.5
     scored: list[tuple[Strategy, float]] = []
     for s in cat.strategies:

@@ -110,12 +110,12 @@ def test_criterion_4_criticality_sweeps_follow_payoff_branches():
     c10 = sweep(SweepSpec("C", 10))
     assert all(value == 0.0 for value in c10.column("DC"))
     c90 = sweep(SweepSpec("C", 90))
-    for row in c90.rows:
-        normalized_severity = row.t / 100.0  # severity input of the payoff on a sweep
+    for t, payoff in enumerate(c90.column("DC")):
+        normalized_severity = t / 100.0  # severity input of the payoff on a sweep
         if 0.2 < normalized_severity <= 1.0:
-            assert abs(row.scores.disinfection_payoff - 90.0) <= 1e-9
+            assert abs(payoff - 90.0) <= 1e-9
         elif normalized_severity < 0.2:
-            assert row.scores.disinfection_payoff == 0.0
+            assert payoff == 0.0
     _report(4, "C=10 zeroes DC everywhere; C=90 yields DC=90/0 per the severity-input branches")
 
 

@@ -40,7 +40,7 @@ from ransomlab.errors import (
 )
 from ransomlab.games import BimatrixGame, Equilibrium, pd_game, pure_nash, ransom_game
 from ransomlab.ingest import ProfileDocument, parse_profile_document
-from ransomlab.report import MetricComparison, ProfileComparison, SweepResult, SweepRow, SweepSpec, sweep
+from ransomlab.report import MetricComparison, ProfileComparison, SweepResult, SweepSpec, sweep
 from ransomlab.scoring import ScoreSet, TraitProfile
 from ransomlab.simnet import (
     CloudStore, Edge, Host, MonteCarloSummary, Network, SimConfig, TickCounts, Trajectory, network_from_dict,
@@ -77,7 +77,6 @@ VALID = {
     Equilibrium: pure_nash(pd_game(5, 3, 1, 0))[0],
     SimConfig: _CONFIG,
     SweepSpec: _SWEEP.spec,
-    SweepRow: _SWEEP.rows[1],
     SweepResult: _SWEEP,
 }
 
@@ -330,9 +329,7 @@ REPRS = {
     Equilibrium: "Equilibrium(row_mix=(0.0, 1.0), col_mix=(0.0, 1.0), row_value=1.0, col_value=1.0, kind='pure')",
     SimConfig: "SimConfig(ticks=5, base_infection_prob=0.5, clean_prob_per_tick=0.1, reinfection_allowed=True, seed=1)",
     SweepSpec: "SweepSpec(fixed_variable='A', fixed_value=20)",
-    SweepRow: "SweepRow(t=1, scores=ScoreSet(sps=56.3, severity=14.825, "
-    "disinfection_probability=28.350000000000005, disinfection_payoff=0.0))",
-    SweepResult: "sha256:9bd94a183212a5f1",
+    SweepResult: "SweepResult(spec=SweepSpec(fixed_variable='A', fixed_value=20))",
     ScoreSet: "ScoreSet(sps=83.0, severity=59.75, disinfection_probability=31.0, disinfection_payoff=14.9375)",
     MetricComparison: "MetricComparison(metric='SPS', first=83.0, second=11.5, higher='first')",
     ProfileComparison: "sha256:cf4afead4a9d0084",
@@ -341,6 +338,10 @@ REPRS = {
     MonteCarloSummary: "MonteCarloSummary(mean_f=91.66666666666667, stddev_f=11.785113019775793, "
     "final_fs=(100.0, 100.0, 75.0))",
 }
+
+
+# Attributes an ``__init__`` derives from the fields and stores after them; equality, hashing and repr skip them.
+DERIVED = {SweepResult: ("scores",)}
 
 
 def _pinned_repr(instance) -> str:
@@ -358,7 +359,7 @@ def test_record_fields_are_its_init_parameters(kind):
     parameters = inspect.signature(kind).parameters.values()
     assert all(parameter.kind is parameter.POSITIONAL_OR_KEYWORD for parameter in parameters)
     assert tuple(parameter.name for parameter in parameters) == fields(kind) == fields(RECORDS[kind])
-    assert tuple(vars(RECORDS[kind])) == fields(kind)
+    assert tuple(vars(RECORDS[kind])) == fields(kind) + DERIVED.get(kind, ())
 
 
 @pytest.mark.parametrize("kind", RECORDS, ids=lambda kind: kind.__name__)
@@ -392,13 +393,14 @@ def test_records_survive_pickle_and_copies(kind):
     for clone in (pickle.loads(pickle.dumps(instance)), copy.copy(instance), copy.deepcopy(instance)):
         assert type(clone) is kind
         assert clone == instance and hash(clone) == hash(instance) and repr(clone) == repr(instance)
+        assert vars(clone) == vars(instance)  # derived attributes too
 
 
 @pytest.mark.parametrize("kind", RECORDS, ids=lambda kind: kind.__name__)
 def test_records_refuse_setting_and_deleting_attributes(kind):
     instance = RECORDS[kind]
     before = repr(instance)
-    for name in [*_fields(instance), "extra"]:
+    for name in [*_fields(instance), *DERIVED.get(kind, ()), "extra"]:
         with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
             setattr(instance, name, None)
         with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):

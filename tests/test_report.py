@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ransomlab import report
 from ransomlab.errors import ValidationError, replace
 from ransomlab.report import (
     SweepResult,
-    SweepRow,
     SweepSpec,
     compare_profiles,
     render_csv,
@@ -63,16 +65,16 @@ def test_sweep_spec_validation():
 
 def test_sweep_full_range_has_101_rows():
     result = sweep(SweepSpec("A", 20))
-    assert len(result.rows) == 101
-    assert [row.t for row in result.rows[:3]] == [0, 1, 2]
+    assert [len(column) for column in result.scores] == [101] * 4
+    assert [line.split(",")[0] for line in sweep_csv(result).splitlines()[1:4]] == ["0", "1", "2"]
 
 
 def test_sweep_a20_spot_values():
-    row = sweep(SweepSpec("A", 20)).rows[50]
-    assert row.scores.sps == pytest.approx(71.0, abs=1e-9)
-    assert row.scores.severity == pytest.approx(55.25, abs=1e-9)
-    assert row.scores.disinfection_probability == pytest.approx(45.5, abs=1e-9)
-    assert row.scores.disinfection_payoff == pytest.approx(25.0, abs=1e-9)
+    sps, s, dp, dc = (column[50] for column in sweep(SweepSpec("A", 20)).scores)
+    assert sps == pytest.approx(71.0, abs=1e-9)
+    assert s == pytest.approx(55.25, abs=1e-9)
+    assert dp == pytest.approx(45.5, abs=1e-9)
+    assert dc == pytest.approx(25.0, abs=1e-9)
 
 
 def test_sweep_dc_column_independent_of_fixed_a():
@@ -89,26 +91,26 @@ def test_sweep_c10_zeroes_the_payoff():
 
 def test_sweep_c90_follows_the_payoff_branches():
     result = sweep(SweepSpec("C", 90))
-    for row in result.rows:
-        severity_input = row.t / 100.0
+    for t, payoff in enumerate(result.column("DC")):
+        severity_input = t / 100.0
         if severity_input < 0.2:
-            assert row.scores.disinfection_payoff == 0.0
+            assert payoff == 0.0
         else:
-            assert row.scores.disinfection_payoff == pytest.approx(90.0)
-    assert result.rows[50].scores.severity == pytest.approx(54.0, abs=1e-9)
-    assert result.rows[50].scores.disinfection_payoff == pytest.approx(90.0)
+            assert payoff == pytest.approx(90.0)
+    assert result.column("S")[50] == pytest.approx(54.0, abs=1e-9)
+    assert result.column("DC")[50] == pytest.approx(90.0)
 
 
 def test_sweep_floors_g_at_one_on_the_diagonal():
     result = sweep(SweepSpec("A", 20))
     # At t=0 the diagonal profile would carry G=0; the floor keeps the
     # severity evaluable: S = 0.25*SPS(20, 0) + 0.3*1 = 14 + 0.3.
-    assert result.rows[0].scores.severity == pytest.approx(14.3, abs=1e-9)
+    assert result.column("S")[0] == pytest.approx(14.3, abs=1e-9)
 
 
 def test_sweep_with_fixed_g_zero_is_floored_too():
     result = sweep(SweepSpec("G", 0))
-    assert result.rows[50].scores.severity == pytest.approx(0.45 * 50 + 0.25 * 50 + 0.3, abs=1e-9)
+    assert result.column("S")[50] == pytest.approx(0.45 * 50 + 0.25 * 50 + 0.3, abs=1e-9)
 
 
 fixed_values = st.floats(0, 100) | st.sampled_from([0, 0.0, -0.0, 100, 100.0, 5e-324]) | st.integers(0, 100)
@@ -117,10 +119,9 @@ fixed_values = st.floats(0, 100) | st.sampled_from([0, 0.0, -0.0, 100, 100.0, 5e
 @settings(max_examples=150, deadline=None)
 @given(variable=st.sampled_from(VARIABLE_KEYS), value=fixed_values)
 def test_sweep_rows_match_the_scores_of_each_diagonal_profile(variable, value):
-    rows = sweep(SweepSpec(variable, value)).rows
-    assert [row.t for row in rows] == list(range(101))
-    for row in rows:
-        t = row.t
+    points = list(zip(*sweep(SweepSpec(variable, value)).scores))
+    assert len(points) == 101
+    for t, scores in enumerate(points):
         values = {key: float(value) if key == variable else float(t) for key in VARIABLE_KEYS}
         if values["G"] == 0.0:
             values["G"] = 1.0
@@ -128,13 +129,13 @@ def test_sweep_rows_match_the_scores_of_each_diagonal_profile(variable, value):
         expected = ScoreSet(
             spreadability_score(p), severity(p), disinfection_probability(p), disinfection_payoff(p.c, t)
         )
-        assert repr(row.scores) == repr(expected)
+        assert repr(ScoreSet(*scores)) == repr(expected)
 
 
 def _csv_per_row(result: SweepResult) -> str:
-    """The CSV as the sweep wrote it one row at a time: the oracle for the one-template body."""
+    """The CSV written one point at a time: the oracle for the one-template body."""
     lines = ["t,SPS,S,DP,DC"]
-    lines.extend("%d,%.4f,%.4f,%.4f,%.4f" % (row.t, *row.scores.values()) for row in result.rows)
+    lines.extend("%d,%.4f,%.4f,%.4f,%.4f" % (t, *scores) for t, scores in enumerate(zip(*result.scores)))
     return "\n".join(lines) + "\n"
 
 
@@ -142,28 +143,37 @@ def _csv_per_row(result: SweepResult) -> str:
 @given(variable=st.sampled_from(VARIABLE_KEYS), value=fixed_values)
 def test_sweep_csv_matches_the_per_row_oracle(variable, value):
     result = sweep(SweepSpec(variable, value))
-    assert sweep_csv(result) == sweep_csv(_fresh(result)) == _csv_per_row(result)
+    assert sweep_csv(result) == _csv_per_row(result)
 
 
-def test_sweep_result_stores_float_columns_and_derives_rows():
-    mixed = [x if x % 2 else x + 0.5 for x in range(101)]  # ints and floats
-    columns = [mixed, tuple(range(101)), [0] * 101, [100 - x for x in range(101)]]
-    result = SweepResult(SweepSpec("A", 20), columns)
-    assert result.scores == tuple(tuple(map(float, column)) for column in columns)
+def test_a_sweep_result_is_computed_from_its_spec():
+    spec = SweepSpec("A", 20)
+    result = SweepResult(spec)
+    assert result == sweep(spec) and hash(result) == hash(sweep(spec)) == hash((spec,))
+    assert repr(result) == "SweepResult(spec=SweepSpec(fixed_variable='A', fixed_value=20))"
+    # Equal specs give equal results, whatever number type holds the value.
+    assert SweepResult(SweepSpec("A", 20.0)) == result and hash(SweepResult(SweepSpec("A", 20.0))) == hash(result)
+    assert SweepResult(SweepSpec("A", 20.0)).scores == result.scores
+    assert result != SweepResult(SweepSpec("A", 21)) and result != SweepResult(SweepSpec("B", 20))
+    assert [type(column) for column in result.scores] == [tuple] * 4
     assert all(type(x) is float for column in result.scores for x in column)
-    assert [row.t for row in result.rows] == list(range(101))
-    assert result.rows[:2] == (SweepRow(0, ScoreSet(0.5, 0.0, 0.0, 100.0)), SweepRow(1, ScoreSet(1.0, 1.0, 0.0, 99.0)))
-    assert result.column("DC") == [100.0 - x for x in range(101)]
+    assert result.column("DC") == list(result.scores[3])
     for metric in ("X", ["S"], None):
         with pytest.raises(ValidationError, match="unknown metric"):
             result.column(metric)
+    with pytest.raises(TypeError):
+        SweepResult(spec, result.scores)  # the columns come only from the spec
 
 
-def test_a_float_column_whose_sum_overflows_is_accepted():
-    # Each value is finite; only their sum leaves float range, so the per-value check accepts them.
-    big = (1.5e308,) * 101
-    result = SweepResult(SweepSpec("A", 20), (big, big, (0.0,) * 101, (-1.5e308,) * 101))
-    assert result.scores[0] == big
+def test_a_sweep_result_keeps_its_scores_through_pickle_copies_and_replace():
+    result = sweep(SweepSpec("G", 0))
+    for clone in (pickle.loads(pickle.dumps(result)), copy.copy(result), copy.deepcopy(result)):
+        assert clone == result and clone.scores == result.scores
+        assert sweep_csv(clone) == sweep_csv(result) and sweep_svg(clone) == sweep_svg(result)
+    other = SweepSpec("C", 90)
+    moved = replace(result, spec=other)
+    assert moved == sweep(other) and moved.scores == sweep(other).scores
+    assert sweep_csv(moved) == sweep_csv(sweep(other))
 
 
 def test_sweep_and_rendering_build_no_per_point_object(monkeypatch):
@@ -171,13 +181,11 @@ def test_sweep_and_rendering_build_no_per_point_object(monkeypatch):
         raise AssertionError("a per-point object was built")
 
     monkeypatch.setattr(report, "ScoreSet", refuse)
-    monkeypatch.setattr(report, "SweepRow", refuse)
+    monkeypatch.setattr(report, "TraitProfile", refuse)
     for spec in (SweepSpec("C", 90), SweepSpec("H", 12.5)):
         result = sweep(spec)
         assert sweep_csv(result).count("\n") == 102
         assert sweep_svg(result).count("<polyline") == 4
-    with pytest.raises(AssertionError, match="per-point"):
-        result.rows
 
 
 def test_fixing_b_changes_only_dp():
@@ -201,35 +209,23 @@ def test_sweeps_share_exactly_the_columns_that_do_not_read_the_fixed_variable():
     assert [x is y for x, y in zip(a.scores, sweep(SweepSpec("A", 80)).scores)] == [False, False, False, True]
 
 
-def _fresh(result: SweepResult, order=range(4)) -> SweepResult:
-    """``result`` rebuilt from new copies of its columns (in ``order``), so no column is shared."""
-    return SweepResult(result.spec, [list(result.scores[k]) for k in order])
+_ALL_OWN = (False,) * 4  # the templates with no shared column: every value is filled in
 
 
 @settings(max_examples=150, deadline=None)
-@given(variable=st.sampled_from(VARIABLE_KEYS), value=fixed_values, order=st.permutations(range(4)))
-def test_rendering_a_sweep_matches_rendering_fresh_copies_of_its_columns(variable, value, order):
+@given(variable=st.sampled_from(VARIABLE_KEYS), value=fixed_values)
+@example(variable="G", value=0)
+@example(variable="A", value=-0.0)
+@example(variable="D", value=100)
+def test_rendering_a_sweep_matches_the_all_own_templates(variable, value):
     result = sweep(SweepSpec(variable, value))
-    fresh = _fresh(result)
-    assert not any(x is y for x, y in zip(fresh.scores, result.scores))
-    assert sweep_csv(result) == sweep_csv(fresh)
-    assert sweep_svg(result) == sweep_svg(fresh)
-    # Shared columns in other positions are still rendered from their own values.
-    moved = SweepResult(result.spec, [result.scores[k] for k in order])
-    assert sweep_csv(moved) == sweep_csv(_fresh(result, order))
-    assert sweep_svg(moved) == sweep_svg(_fresh(result, order))
-
-
-def test_a_column_equal_to_a_shared_one_is_rendered_from_its_own_values():
-    shared = sweep(SweepSpec("D", 37.5))
-    dc = tuple(-0.0 if x == 0.0 else x for x in shared.scores[3])
-    assert dc == shared.scores[3] and 0.0 in dc  # -0.0 == 0.0, but the two format differently
-    result = SweepResult(shared.spec, (*shared.scores[:3], dc))
-    rows = sweep_csv(result).splitlines()[1:]
-    assert all(row.endswith(",-0.0000") for row, x in zip(rows, shared.scores[3]) if x == 0.0)
-    assert sweep_csv(result) == sweep_csv(_fresh(result)) != sweep_csv(shared)
-    # A score of -0.0 or 0.0 both place the point at y = 550.00.
-    assert sweep_svg(result) == sweep_svg(_fresh(result)) == sweep_svg(shared)
+    points = list(zip(*result.scores))
+    assert len(points) == 101
+    cells = [x for point in points for x in point]
+    assert sweep_csv(result) == report._csv_template(_ALL_OWN) % tuple(cells)
+    # The plot spans y = 550 (score 0) to y = 40 (score 100), one series per metric.
+    ys = [550.0 - x / 100.0 * 510.0 for column in result.scores for x in column]
+    assert sweep_svg(result) == report._svg_frame(_ALL_OWN) % ("%s=%g" % (variable, value), *ys)
 
 
 def test_csv_output_shape_and_determinism(tmp_path):

@@ -162,14 +162,16 @@ def test_scores_stay_in_range_on_random_profiles():
             assert 0.0 <= value <= 100.0
 
 
-# score_all feeds its severity to the unchecked payoff formula. These pin that
-# the checks it skips cannot fire: the severity of a valid profile lies in
-# [0, 100]. Severity rises with C, E, F and G and falls with A (through SPS),
+# score_all checks the profile once, in severity, and takes the plain formulas
+# for the other scores. These pin that they give the checked functions' floats
+# and that the checks skipped cannot fire: the severity of a valid profile lies
+# in [0, 100]. Severity rises with C, E, F and G and falls with A (through SPS),
 # and float rounding keeps that order, so the corner profiles bound the rest.
 def _assert_payoff_inputs_in_range(p: TraitProfile) -> None:
     scores = score_all(p)
     assert 0.0 <= scores.severity <= 100.0
-    assert scores.disinfection_payoff == disinfection_payoff(p.c, scores.severity)
+    checked = (spreadability_score(p), severity(p), disinfection_probability(p), disinfection_payoff(p.c, severity(p)))
+    assert repr(scores.values()) == repr(checked)
 
 
 def test_severity_of_every_corner_profile_lies_in_range():

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from ransomlab import strategies
 from ransomlab.errors import ValidationError, replace
-from ransomlab.scoring import TraitProfile
+from ransomlab.scoring import TraitProfile, disinfection_payoff
 from ransomlab.strategies import (
     Level,
     Step,
@@ -109,6 +110,15 @@ def test_rank_scores_in_range_and_deterministic(company_a, company_b):
         second = rank_strategies(default_catalog(), profile, weights=(0.4, 0.3, 0.2, 0.1))
         assert first == second
         assert all(0.0 <= score <= 100.0 for _, score in first)
+
+
+def test_rank_takes_the_plain_payoff_whose_checks_cannot_fire(company_a, company_b, monkeypatch):
+    profiles = [company_a, company_b]
+    profiles += [TraitProfile(*[x] * 9) for x in (5e-324, 0.5, 20, 80, 100)]
+    profiles += [TraitProfile(a=0, b=0, c=100, d=0, e=100, f=100, g=100, h=0, i=0)]  # the highest severity, 100
+    plain = [rank_strategies(default_catalog(), p) for p in profiles]
+    monkeypatch.setattr(strategies, "disinfection_payoff_of", disinfection_payoff)  # the checked payoff
+    assert [rank_strategies(default_catalog(), p) for p in profiles] == plain
 
 
 def test_rank_empty_catalog(company_a):

@@ -15,14 +15,14 @@ from hypothesis import strategies as st
 
 from ransomlab import strategies as strategies_module
 from ransomlab.cli import main
-from ransomlab.errors import ValidationError, check_keys, check_number, plain_numbers
+from ransomlab.errors import ValidationError, check_keys, check_number, plain_numbers, replace
 from ransomlab.games import (
     BimatrixGame, Equilibrium, expected_payoffs, game_from_dict, game_to_dict, pd_game, ransom_game, replicator_step,
     snowdrift_game,
 )
 from ransomlab.ingest import ProfileDocument, parse_profile_document
-from ransomlab.report import SweepResult, SweepRow, SweepSpec, sweep, sweep_csv
-from ransomlab.scoring import ScoreSet, TraitProfile
+from ransomlab.report import SweepResult, SweepSpec, sweep, sweep_csv
+from ransomlab.scoring import TraitProfile, score_all
 from ransomlab.simnet import CloudStore, Edge, Host, Network, SimConfig, monte_carlo_f, network_from_dict
 from ransomlab.strategies import (
     Level,
@@ -100,15 +100,6 @@ def test_parsers_return_or_raise_validation_error(data):
 # -- direct construction -------------------------------------------------------
 
 _PROFILE = TraitProfile(a=20, b=25, c=25, d=100, e=80, f=90, g=25, h=60, i=15)
-_SCORES = ScoreSet(1.0, 2.0, 3.0, 4.0)
-_COLUMN = (1.0,) * 101  # a valid sweep score column
-
-
-def _columns_with(k: int, value: object) -> tuple:
-    """Four valid sweep score columns, but column ``k`` holds ``value`` at t = 50."""
-    columns = [_COLUMN] * 4
-    columns[k] = (*_COLUMN[:50], value, *_COLUMN[51:])
-    return tuple(columns)
 
 
 BAD_CONSTRUCTIONS = {
@@ -158,20 +149,7 @@ BAD_CONSTRUCTIONS = {
     "equilibrium string value": lambda: Equilibrium((1.0,), (1.0,), 0.0, "1", "pure"),
     "expected payoffs none mix": lambda: expected_payoffs(ransom_game(), None, (0.5, 0.5)),
     "expected payoffs string mix": lambda: expected_payoffs(ransom_game(), ("a", "b"), (0.5, 0.5)),
-    "sweep result int row": lambda: sweep_csv(SweepResult(SweepSpec("A", 20), (1, 2, 3, 4))),
-    "sweep result none rows": lambda: SweepResult(SweepSpec("A", 20), None),
-    "sweep result three columns": lambda: SweepResult(SweepSpec("A", 20), (_COLUMN,) * 3),
-    "sweep result ragged column": lambda: sweep_csv(SweepResult(SweepSpec("A", 20), (*(_COLUMN,) * 3, _COLUMN[1:]))),
-    "sweep result long column": lambda: SweepResult(SweepSpec("A", 20), (_COLUMN + (1.0,), *(_COLUMN,) * 3)),
-    "sweep result string score": lambda: sweep_csv(SweepResult(SweepSpec("A", 20), _columns_with(1, "x"))),
-    "sweep result none score": lambda: SweepResult(SweepSpec("A", 20), _columns_with(0, None)),
-    "sweep result bool score": lambda: SweepResult(SweepSpec("A", 20), _columns_with(2, True)),
-    "sweep result huge score": lambda: SweepResult(SweepSpec("A", 20), _columns_with(3, 10**400)),
-    "sweep result nan score": lambda: SweepResult(SweepSpec("A", 20), _columns_with(0, math.nan)),
-    "sweep result inf score": lambda: SweepResult(SweepSpec("A", 20), _columns_with(1, math.inf)),
-    "sweep result -inf score": lambda: SweepResult(SweepSpec("A", 20), _columns_with(3, -math.inf)),
-    "sweep result string column": lambda: SweepResult(SweepSpec("A", 20), ("a", *(_COLUMN,) * 3)),
-    "sweep result none spec": lambda: SweepResult(None, (_COLUMN,) * 4),
+    "sweep result none spec": lambda: SweepResult(None),
     "profile document int name": lambda: ProfileDocument(name=5, profile=_PROFILE),
     "profile document none profile": lambda: ProfileDocument("x", None),
     "ranking nan weight": lambda: rank_strategies(default_catalog(), _PROFILE, (math.nan, 0.5, 0.25, 0.25)),
@@ -182,10 +160,6 @@ BAD_CONSTRUCTIONS = {
     "pd game string payoff": lambda: pd_game("a", 3, 1, 0),
     "snowdrift string benefit": lambda: snowdrift_game("a", 1),
     "snowdrift none cost": lambda: snowdrift_game(2, None),
-    "sweep row string t": lambda: SweepRow("x", _SCORES),
-    "sweep row bool t": lambda: SweepRow(True, _SCORES),
-    "sweep row none scores": lambda: SweepRow(0, None),
-    "sweep csv of string row": lambda: sweep_csv(SweepResult(SweepSpec("A", 20), (("x",) * 101,) * 4)),
 }
 
 
@@ -201,6 +175,8 @@ KEPT_MESSAGES = {
     "dt must be positive and finite, got 0": lambda: replicator_step(pd_game(5, 3, 1, 0), (0.5, 0.5), 0),
     "ransom_game expects 4 user payoffs and 4 virus payoffs": lambda: ransom_game((1, 2, 3)),
     "expected 4 ranking weights, got 3": lambda: rank_strategies(default_catalog(), _PROFILE, [0.5, 0.25, 0.25]),
+    "severity requires G > 0, got 0": lambda: score_all(replace(_PROFILE, g=0)),
+    "severity requires G > 0, got 0.0": lambda: rank_strategies(default_catalog(), replace(_PROFILE, g=0.0)),
 }
 
 
@@ -221,8 +197,9 @@ def _strategy(**fields) -> Strategy:
 _NETWORK_DOC = {"hosts": [], "clouds": [], "edges": []}
 _CONFIG = SimConfig(ticks=1, base_infection_prob=0.5, clean_prob_per_tick=0.1, reinfection_allowed=True, seed=1)
 
-# One bad input per check whose label is built from the value's fields or position, and per input that
-# a type-and-range shortcut lets through when it is good: the exact message each raises.
+# One bad input per check whose label is built from the value's fields or position, per input that a
+# type-and-range shortcut lets through when it is good, and per argument check the scoring, ranking and sweep
+# entry points keep once the sweep computes its own columns: the exact message each raises.
 LABEL_MESSAGES = {
     "host 3 awareness must be in [0, 100], got 150": lambda: Host(id=3, awareness=150),
     "host 3 protection must be a number, got str": lambda: Host(id=3, protection="x"),
@@ -281,26 +258,6 @@ LABEL_MESSAGES = {
         pd_game(5, 3, 1, 0), (math.inf, 0.5), 0.1
     ),
     "column mix must sum to 1, got 0.5": lambda: expected_payoffs(ransom_game(), (1, 0), (0.25, 0.25)),
-    "sweep SPS scores must be a tuple or list, got str": lambda: SweepResult(
-        SweepSpec("A", 20), ("a", *(_COLUMN,) * 3)
-    ),
-    "sweep DC scores hold 100 values for 101 points": lambda: SweepResult(
-        SweepSpec("A", 20), (*(_COLUMN,) * 3, _COLUMN[1:])
-    ),
-    "sweep SPS score 50 must be a number, got NoneType": lambda: SweepResult(
-        SweepSpec("A", 20), _columns_with(0, None)
-    ),
-    "sweep S score 50 must be a number, got str": lambda: SweepResult(SweepSpec("A", 20), _columns_with(1, "x")),
-    "sweep DP score 50 must be a number, got bool": lambda: SweepResult(SweepSpec("A", 20), _columns_with(2, True)),
-    "sweep DC score 50 must be in [-1.79769e+308, 1.79769e+308], got inf": lambda: SweepResult(
-        SweepSpec("A", 20), _columns_with(3, math.inf)
-    ),
-    "sweep SPS score 50 must be in [-1.79769e+308, 1.79769e+308], got nan": lambda: SweepResult(
-        SweepSpec("A", 20), _columns_with(0, math.nan)
-    ),
-    "sweep row t must be an integer, got str": lambda: SweepRow("x", _SCORES),
-    "sweep row t must be an integer, got bool": lambda: SweepRow(True, _SCORES),
-    "sweep row scores must be a ScoreSet, got NoneType": lambda: SweepRow(0, None),
     "network document must be a JSON object, got list": lambda: network_from_dict([]),
     "network document missing keys: ['edges']": lambda: network_from_dict({"hosts": [], "clouds": []}),
     "network document has unknown keys: ['extra']": lambda: network_from_dict({**_NETWORK_DOC, "extra": []}),
@@ -308,6 +265,13 @@ LABEL_MESSAGES = {
     "runs must be a positive integer, got True": lambda: monte_carlo_f(Network((), (), ()), _CONFIG, True),
     "runs must be a positive integer, got 1.5": lambda: monte_carlo_f(Network((), (), ()), _CONFIG, 1.5),
     "runs must be a positive integer, got 0": lambda: monte_carlo_f(Network((), (), ()), _CONFIG, 0),
+    "profile must be a TraitProfile, got NoneType": lambda: score_all(None),
+    "profile must be a TraitProfile, got dict": lambda: rank_strategies(default_catalog(), {"a": 1}),
+    "fixed_value must be in [0, 100], got 101.0": lambda: SweepSpec("A", 101.0),
+    "fixed_value must be a number, got str": lambda: SweepSpec("A", "20"),
+    "sweep spec must be a SweepSpec, got NoneType": lambda: sweep(None),
+    "sweep spec must be a SweepSpec, got str": lambda: SweepResult("A=20"),
+    "sweep result must be a SweepResult, got SweepSpec": lambda: sweep_csv(SweepSpec("A", 20)),
 }
 
 
@@ -320,8 +284,6 @@ def test_labelled_checks_keep_their_messages(message):
 
 def test_list_built_values_equal_and_hash_like_tuple_built():
     step = Step(description="scan", complexity=1)
-    spec = SweepSpec("A", 20)
-    scores = sweep(spec).scores
 
     def strategy(steps):
         return Strategy(name="x", steps=steps, overall_complexity=1, effectiveness=Level.LOW, reinfection_risk=Level.LOW)
@@ -332,7 +294,6 @@ def test_list_built_values_equal_and_hash_like_tuple_built():
         (StrategyCatalog([strategy([step])]), StrategyCatalog((strategy((step,)),))),
         (BimatrixGame(["r"], ["c"], [[[1, 2]]]), BimatrixGame(("r",), ("c",), (((1.0, 2.0),),))),
         (Equilibrium([1.0], [1.0], 0.0, 0.0, "pure"), Equilibrium((1.0,), (1.0,), 0.0, 0.0, "pure")),
-        (SweepResult(spec, list(map(list, scores))), SweepResult(spec, scores)),
     ]
     for from_lists, from_tuples in pairs:
         assert from_lists == from_tuples
@@ -410,7 +371,6 @@ def test_plain_numbers_answers_exactly_what_check_number_passes(items, bounds):
     exact = all(type(x) in (int, float) for x in items)
     finite = exact and all(map(passes, items)) and math.isfinite(sum(map(float, items)))  # the sum in float arithmetic
     assert plain_numbers(items, lo, hi) == finite
-    assert plain_numbers(items, lo, hi, ints=False) == (finite and all(type(x) is float for x in items))
 
 
 def test_enum_fields_name_every_allowed_value():
