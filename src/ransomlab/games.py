@@ -93,17 +93,15 @@ class BimatrixGame(Record):
 
 
 class Equilibrium(Record):
-    """A solution point: mixed strategies, the value to each player, and kind ("pure" or "mixed")."""
+    """A solution point: mixed strategies, the value to each player, and kind ("pure" or "mixed").
+
+    Output-only: :func:`pure_nash` and :func:`mixed_nash_2x2` build it from the
+    cells of a checked game, and no function takes one, so it checks nothing.
+    """
 
     def __init__(
         self, row_mix: tuple[float, ...], col_mix: tuple[float, ...], row_value: float, col_value: float, kind: str
     ) -> None:
-        if kind not in ("pure", "mixed"):
-            raise ValidationError(f"equilibrium kind must be 'pure' or 'mixed', got {kind!r}")
-        row_mix = _check_mix(row_mix, None, "row")  # stored as tuples
-        col_mix = _check_mix(col_mix, None, "column")
-        check_number(row_value, -FLOAT_MAX, FLOAT_MAX, "row value")
-        check_number(col_value, -FLOAT_MAX, FLOAT_MAX, "column value")
         object.__setattr__(self, "row_mix", row_mix)
         object.__setattr__(self, "col_mix", col_mix)
         object.__setattr__(self, "row_value", row_value)
@@ -256,10 +254,10 @@ def dominant_strategies(g: BimatrixGame) -> tuple[list[str], list[str]]:
     )
 
 
-def _check_mix(mix: object, n: int | None, which: str) -> tuple[float, ...]:
-    """Return ``mix`` as a tuple of ``n`` (any number when None) finite nonnegative weights summing to 1."""
+def _check_mix(mix: object, n: int, which: str) -> tuple[float, ...]:
+    """Return ``mix`` as a tuple of ``n`` finite nonnegative weights summing to 1."""
     mix = check_sequence(mix, "%s mix", which)
-    if n is not None and len(mix) != n:
+    if len(mix) != n:
         raise ValidationError(f"{which} mix has length {len(mix)}, expected {n}")
     if not plain_numbers(mix, 0, FLOAT_MAX):
         for x in mix:

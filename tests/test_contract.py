@@ -74,7 +74,6 @@ VALID = {
     ProfileDocument: _PROFILE_DOCUMENT,
     TraitProfile: _PROFILE_DOCUMENT.profile,
     BimatrixGame: ransom_game(),
-    Equilibrium: pure_nash(pd_game(5, 3, 1, 0))[0],
     SimConfig: _CONFIG,
     SweepSpec: _SWEEP.spec,
     SweepResult: _SWEEP,
@@ -87,6 +86,7 @@ OUTPUT_ONLY = {
     MonteCarloSummary: "returned by monte_carlo_f from the final_f values it computed",
     MetricComparison: "built by compare_profiles from two ScoreSets",
     ProfileComparison: "returned by compare_profiles",
+    Equilibrium: "returned by pure_nash and mixed_nash_2x2 from the cells of a checked game",
 }
 
 HOSTILE = (None, "ab", math.nan, math.inf, -1, 10**400, True, [], [1], {}, object())
@@ -308,6 +308,7 @@ OUTPUTS = {
     TickCounts: _TRAJECTORY.counts[1],
     Trajectory: _TRAJECTORY,
     MonteCarloSummary: simnet.monte_carlo_f(_NETWORK, _CONFIG, 3),
+    Equilibrium: pure_nash(pd_game(5, 3, 1, 0))[0],
 }
 RECORDS = {**VALID, **OUTPUTS}
 

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import math
 import random
+from itertools import zip_longest
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ransomlab.errors import ValidationError
+from ransomlab.errors import FLOAT_MAX, ValidationError
 from ransomlab.games import (
     BimatrixGame,
     RANSOM_USER_DEFAULTS,
@@ -245,21 +247,70 @@ tie_heavy_payoffs = st.sampled_from([-2, -1, 0, 1, 2, 0.0, -0.0])
 
 
 @st.composite
-def tie_heavy_games(draw) -> BimatrixGame:
-    n_rows = draw(st.integers(1, 8))
-    n_cols = draw(st.integers(1, 8))
-    cells = st.tuples(tie_heavy_payoffs, tie_heavy_payoffs)
-    payoffs = draw(st.lists(st.lists(cells, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows))
-    return BimatrixGame([f"r{i}" for i in range(n_rows)], [f"c{j}" for j in range(n_cols)], payoffs)
+def games(draw, payoffs, shapes) -> BimatrixGame:
+    """Games of a shape drawn from ``shapes``, an ``(n_rows, n_cols)`` strategy, with each payoff from ``payoffs``."""
+    n_rows, n_cols = draw(shapes)
+    cells = st.tuples(payoffs, payoffs)
+    table = draw(st.lists(st.lists(cells, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows))
+    return BimatrixGame([f"r{i}" for i in range(n_rows)], [f"c{j}" for j in range(n_cols)], table)
 
 
 @settings(max_examples=500, deadline=None)
-@given(g=tie_heavy_games())
+@given(g=games(tie_heavy_payoffs, st.tuples(st.integers(1, 8), st.integers(1, 8))))
 def test_solution_concepts_match_definitional_oracles(g):
     got = [(eq.row_mix, eq.col_mix, eq.row_value, eq.col_value, eq.kind) for eq in pure_nash(g)]
-    # repr tells -0.0 from 0.0, so each equilibrium value must be its own cell's, sign included.
-    assert repr(got) == repr(definitional_pure_nash(g))
+    # repr tells -0.0 from 0.0, so each equilibrium value must be its own cell's, sign included. One
+    # equilibrium at a time, so a failure shows the first that differs, not a diff of the whole ~6 KB list.
+    for k, (mine, oracle) in enumerate(zip_longest(got, definitional_pure_nash(g))):
+        assert repr(mine) == repr(oracle), f"equilibrium {k}"
     assert dominant_strategies(g) == definitional_dominant(g)
+
+
+# Finite payoffs weighted to the edges: ±FLOAT_MAX and their neighbours, half and a quarter of it, the smallest
+# subnormal, ties and -0.0, beside any finite float.
+extreme_payoffs = st.sampled_from(
+    [FLOAT_MAX, math.nextafter(FLOAT_MAX, 0.0), FLOAT_MAX / 2, FLOAT_MAX / 4, 5e-324, 1.0, 0.0]
+).flatmap(lambda x: st.sampled_from([x, -x])) | st.floats(-FLOAT_MAX, FLOAT_MAX)
+# Games of 1-4 x 1-4 cells, with 2x2 drawn as often again.
+extreme_games = games(extreme_payoffs, st.just((2, 2)) | st.tuples(st.integers(1, 4), st.integers(1, 4)))
+
+
+@st.composite
+def turning_2x2_games(draw) -> BimatrixGame:
+    """2x2 games with an interior equilibrium: the row player's best reply matches the column, the column's does not.
+
+    Payoffs are ints -3..3 times one scale up to FLOAT_MAX / 16, so the indifference denominators stay finite.
+    """
+    scale = draw(st.sampled_from([1.0, FLOAT_MAX / 16]) | st.floats(0.0, FLOAT_MAX / 16))
+    pairs = st.lists(st.sampled_from(range(-3, 4)), min_size=2, max_size=2, unique=True).map(sorted)
+    # Each pair is (lower, higher).
+    (a10, a00), (a01, a11), (b00, b01), (b11, b10) = ([k * scale for k in draw(pairs)] for _ in range(4))
+    return BimatrixGame(["r0", "r1"], ["c0", "c1"], [[(a00, b00), (a01, b01)], [(a10, b10), (a11, b11)]])
+
+
+_Q = FLOAT_MAX / 4  # matching pennies at this scale has an interior equilibrium and a denominator of FLOAT_MAX
+
+
+def _is_unit(mix: tuple[float, ...]) -> bool:
+    return mix.count(1.0) == 1 and mix.count(0.0) == len(mix) - 1
+
+
+@settings(max_examples=1000, deadline=None)
+@given(g=extreme_games | turning_2x2_games())
+@example(g=snowdrift_game(FLOAT_MAX / 2, FLOAT_MAX / 4))
+@example(g=BimatrixGame(["r0", "r1"], ["c0", "c1"], [[(_Q, -_Q), (-_Q, _Q)], [(-_Q, _Q), (_Q, -_Q)]]))
+def test_every_equilibrium_returned_is_a_valid_output(g):
+    """Equilibrium is output-only and checks nothing, so this shows every one the solvers return is valid."""
+    mixed = mixed_nash_2x2(g) if (g.n_rows, g.n_cols) == (2, 2) else None
+    for eq in pure_nash(g) + ([mixed] if mixed else []):
+        for mix, n in ((eq.row_mix, g.n_rows), (eq.col_mix, g.n_cols)):
+            assert type(mix) is tuple and len(mix) == n and all(type(x) is float for x in mix)
+        values = expected_payoffs(g, eq.row_mix, eq.col_mix)  # the mixes pass the public check
+        assert eq.kind in ("pure", "mixed")
+        assert (eq.kind == "pure") == (_is_unit(eq.row_mix) and _is_unit(eq.col_mix))
+        assert all(type(x) is float and math.isfinite(x) for x in (eq.row_value, eq.col_value))
+        if eq.kind == "mixed":
+            assert repr((eq.row_value, eq.col_value)) == repr(values)
 
 
 def test_mixed_nash_passes_deviation_check_on_random_games():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+from itertools import zip_longest
 
 import pytest
 from hypothesis import example, given, settings
@@ -132,6 +133,17 @@ def test_sweep_rows_match_the_scores_of_each_diagonal_profile(variable, value):
         assert repr(ScoreSet(*scores)) == repr(expected)
 
 
+def _assert_same_text(got: str, expected: str) -> None:
+    """``got == expected``, reported at the first line that differs.
+
+    A failing ``==`` on two ~10 KB texts has pytest diff them whole for every
+    example hypothesis shrinks, which takes minutes; one line takes no time.
+    Splitting on "\n" keeps the final newline in the comparison.
+    """
+    for number, (line, expected_line) in enumerate(zip_longest(got.split("\n"), expected.split("\n"))):
+        assert line == expected_line, f"line {number}"
+
+
 def _csv_per_row(result: SweepResult) -> str:
     """The CSV written one point at a time: the oracle for the one-template body."""
     lines = ["t,SPS,S,DP,DC"]
@@ -143,7 +155,7 @@ def _csv_per_row(result: SweepResult) -> str:
 @given(variable=st.sampled_from(VARIABLE_KEYS), value=fixed_values)
 def test_sweep_csv_matches_the_per_row_oracle(variable, value):
     result = sweep(SweepSpec(variable, value))
-    assert sweep_csv(result) == _csv_per_row(result)
+    _assert_same_text(sweep_csv(result), _csv_per_row(result))
 
 
 def test_a_sweep_result_is_computed_from_its_spec():
@@ -222,10 +234,10 @@ def test_rendering_a_sweep_matches_the_all_own_templates(variable, value):
     points = list(zip(*result.scores))
     assert len(points) == 101
     cells = [x for point in points for x in point]
-    assert sweep_csv(result) == report._csv_template(_ALL_OWN) % tuple(cells)
+    _assert_same_text(sweep_csv(result), report._csv_template(_ALL_OWN) % tuple(cells))
     # The plot spans y = 550 (score 0) to y = 40 (score 100), one series per metric.
     ys = [550.0 - x / 100.0 * 510.0 for column in result.scores for x in column]
-    assert sweep_svg(result) == report._svg_frame(_ALL_OWN) % ("%s=%g" % (variable, value), *ys)
+    _assert_same_text(sweep_svg(result), report._svg_frame(_ALL_OWN) % ("%s=%g" % (variable, value), *ys))
 
 
 def test_csv_output_shape_and_determinism(tmp_path):

@@ -17,7 +17,7 @@ from ransomlab import strategies as strategies_module
 from ransomlab.cli import main
 from ransomlab.errors import ValidationError, check_keys, check_number, plain_numbers, replace
 from ransomlab.games import (
-    BimatrixGame, Equilibrium, expected_payoffs, game_from_dict, game_to_dict, pd_game, ransom_game, replicator_step,
+    BimatrixGame, expected_payoffs, game_from_dict, game_to_dict, pd_game, ransom_game, replicator_step,
     snowdrift_game,
 )
 from ransomlab.ingest import ProfileDocument, parse_profile_document
@@ -142,11 +142,6 @@ BAD_CONSTRUCTIONS = {
     "game none payoffs": lambda: BimatrixGame(("r",), ("c",), None),
     "game string labels": lambda: BimatrixGame("rc", "c", [[(0, 0)], [(0, 0)]]),
     "game none payoff row": lambda: BimatrixGame(("r",), ("c",), (None,)),
-    "equilibrium nan mix": lambda: Equilibrium((math.nan, math.nan), (1.0,), 0.0, 0.0, "pure"),
-    "equilibrium string mix entry": lambda: Equilibrium(("a",), (1.0,), 0.0, 0.0, "pure"),
-    "equilibrium none mix": lambda: Equilibrium(None, (1.0,), 0.0, 0.0, "pure"),
-    "equilibrium nan value": lambda: Equilibrium((1.0,), (1.0,), math.nan, 0.0, "pure"),
-    "equilibrium string value": lambda: Equilibrium((1.0,), (1.0,), 0.0, "1", "pure"),
     "expected payoffs none mix": lambda: expected_payoffs(ransom_game(), None, (0.5, 0.5)),
     "expected payoffs string mix": lambda: expected_payoffs(ransom_game(), ("a", "b"), (0.5, 0.5)),
     "sweep result none spec": lambda: SweepResult(None),
@@ -244,13 +239,13 @@ LABEL_MESSAGES = {
     ),
     "prisoner's dilemma T must be a number, got str": lambda: pd_game("a", 3, 1, 0),
     "prisoner's dilemma S must be in [-1.79769e+308, 1.79769e+308], got nan": lambda: pd_game(5, 3, 1, math.nan),
-    "row mix must be a tuple or list, got NoneType": lambda: Equilibrium(None, (1.0,), 0.0, 0.0, "pure"),
-    "row mix entry must be a number, got str": lambda: Equilibrium(("a",), (1.0,), 0.0, 0.0, "pure"),
-    "column mix entry must be in [0, 1.79769e+308], got -0.5": lambda: Equilibrium(
-        (1.0,), (-0.5, 1.5), 0.0, 0.0, "pure"
+    "row mix must be a tuple or list, got NoneType": lambda: expected_payoffs(ransom_game(), None, (0.5, 0.5)),
+    "row mix entry must be a number, got str": lambda: expected_payoffs(ransom_game(), ("a", 1.0), (0.5, 0.5)),
+    "column mix entry must be in [0, 1.79769e+308], got -0.5": lambda: expected_payoffs(
+        ransom_game(), (1.0, 0.0), (-0.5, 1.5)
     ),
-    "row mix entry must be in [0, 1.79769e+308], got nan": lambda: Equilibrium(
-        (math.nan, 1.0), (1.0,), 0.0, 0.0, "pure"
+    "row mix entry must be in [0, 1.79769e+308], got nan": lambda: expected_payoffs(
+        ransom_game(), (math.nan, 1.0), (0.5, 0.5)
     ),
     "row mix entry must be a number, got bool": lambda: expected_payoffs(ransom_game(), (True, 0), (0.5, 0.5)),
     "population mix has length 3, expected 2": lambda: replicator_step(pd_game(5, 3, 1, 0), (0.5, 0.25, 0.25), 0.1),
@@ -293,7 +288,6 @@ def test_list_built_values_equal_and_hash_like_tuple_built():
         (strategy([step]), strategy((step,))),
         (StrategyCatalog([strategy([step])]), StrategyCatalog((strategy((step,)),))),
         (BimatrixGame(["r"], ["c"], [[[1, 2]]]), BimatrixGame(("r",), ("c",), (((1.0, 2.0),),))),
-        (Equilibrium([1.0], [1.0], 0.0, 0.0, "pure"), Equilibrium((1.0,), (1.0,), 0.0, 0.0, "pure")),
     ]
     for from_lists, from_tuples in pairs:
         assert from_lists == from_tuples
