@@ -15,6 +15,7 @@ keyed by the :class:`BimatrixGame` field names; payoff cells are ``[r, c]``.
 
 from __future__ import annotations
 
+import math
 from operator import itemgetter
 
 from .errors import (
@@ -210,26 +211,40 @@ def mixed_nash_2x2(g: BimatrixGame) -> Equilibrium | None:
     Solves the standard indifference conditions: the row player mixes so the
     column player is indifferent between columns, and vice versa. Returns
     ``None`` when the indifference system is degenerate or the solution is
-    not strictly inside the simplex.
+    not strictly inside the simplex. Payoffs near ``FLOAT_MAX`` solve too:
+    when a denominator overflows, the system is solved again on the payoffs
+    quartered.
     """
     check_type(g, BimatrixGame, "game")
     if g.n_rows != 2 or g.n_cols != 2:
         raise ValidationError(f"mixed_nash_2x2 requires a 2x2 game, got {g.n_rows}x{g.n_cols}")
     a = [[g.row_payoff(i, j) for j in range(2)] for i in range(2)]
     b = [[g.col_payoff(i, j) for j in range(2)] for i in range(2)]
+    mix = _interior_mix(a, b)
+    if mix is None:
+        return None
+    p, q = mix
+    row_mix = (p, 1.0 - p)
+    col_mix = (q, 1.0 - q)
+    row_value, col_value = expected_payoffs(g, row_mix, col_mix)
+    return Equilibrium(row_mix=row_mix, col_mix=col_mix, row_value=row_value, col_value=col_value, kind="mixed")
 
+
+def _interior_mix(a: list[list[float]], b: list[list[float]]) -> tuple[float, float] | None:
+    """The weights on row 0 and column 0 that leave the other player indifferent, if strictly interior."""
     denom_p = b[0][0] - b[0][1] - b[1][0] + b[1][1]
     denom_q = a[0][0] - a[0][1] - a[1][0] + a[1][1]
     if denom_p == 0 or denom_q == 0:
         return None
     p = (b[1][1] - b[1][0]) / denom_p  # weight on row 0
     q = (a[1][1] - a[0][1]) / denom_q  # weight on column 0
-    if not (0.0 < p < 1.0 and 0.0 < q < 1.0):
-        return None
-    row_mix = (p, 1.0 - p)
-    col_mix = (q, 1.0 - q)
-    row_value, col_value = expected_payoffs(g, row_mix, col_mix)
-    return Equilibrium(row_mix=row_mix, col_mix=col_mix, row_value=row_value, col_value=col_value, kind="mixed")
+    if 0.0 < p < 1.0 and 0.0 < q < 1.0:
+        return p, q
+    if math.isinf(denom_p) or math.isinf(denom_q):
+        # Four payoffs summed past FLOAT_MAX, which leaves p or q 0 or nan. Quartered they cannot, and
+        # quartering is exact for normal floats. (A numerator that overflows alone means |p| or |q| > 1.)
+        return _interior_mix(*([[0.25 * x for x in row] for row in m] for m in (a, b)))
+    return None
 
 
 def dominant_strategies(g: BimatrixGame) -> tuple[list[str], list[str]]:

@@ -31,6 +31,13 @@ per-edge lists and run this schedule over them. :func:`step` spells the same
 schedule out over ``Network`` objects; it is the reference oracle the tests
 compare the compiled kernel against, draw for draw.
 
+:func:`monte_carlo_f` splits its runs into contiguous seed ranges over forked
+processes when the work pays for it, at most one per CPU the process may use
+(see :func:`_jobs`). Each child inherits the compiled kernel and sends its
+``final_f`` values back as raw doubles, so the summary is the same floats for
+every split. The runs stay in the calling process when the work is small,
+without ``os.fork``, or while a second thread is alive.
+
 The work of one :func:`run` or :func:`monte_carlo_f` call is capped before any
 draw: ``runs * (ticks * (2 * edges + hosts + 1) + 1)`` may be at most
 :data:`WORK_CAP` (``runs`` is 1 for :func:`run`; the inner ``+ 1`` counts a tick
@@ -41,9 +48,13 @@ and stores its result). Over the cap, :class:`ValidationError` names the cap.
 from __future__ import annotations
 
 import math
+import os
 import random
+import sys
+from array import array
 from enum import Enum
 from itertools import repeat, starmap
+from typing import BinaryIO
 
 from .errors import Record, ValidationError, check_items, check_number, check_type, from_dict, is_kind, replace, to_dict
 
@@ -68,6 +79,10 @@ __all__ = [
 
 # The most ``runs * (ticks * (2 * edges + hosts + 1) + 1)`` one simulation call may schedule.
 WORK_CAP = 10**10
+# The least work (as _check_work counts it) worth one more process in monte_carlo_f. On a 2-CPU Linux VM
+# a fork and reap took 1-2 ms, and splitting ring8 runs in two broke even at 30,000-45,000 work per
+# process (medians of 31 rounds); this is over twice that.
+_JOB_WORK = 100_000
 
 
 class HostState(Enum):
@@ -347,9 +362,120 @@ def _check_args(net: Network, cfg: SimConfig) -> None:
     check_type(cfg, SimConfig, "config")
 
 
-def _check_work(net: Network, cfg: SimConfig, runs: int) -> None:
-    if runs * (cfg.ticks * (2 * len(net.edges) + len(net.hosts) + 1) + 1) > WORK_CAP:
+def _check_work(net: Network, cfg: SimConfig, runs: int) -> int:
+    """Return the work count of ``runs`` runs; over :data:`WORK_CAP`, raise :class:`ValidationError`."""
+    work = runs * (cfg.ticks * (2 * len(net.edges) + len(net.hosts) + 1) + 1)
+    if work > WORK_CAP:
         raise ValidationError(f"runs * (ticks * (2 * edges + hosts + 1) + 1) must be at most the work cap {WORK_CAP}")
+    return work
+
+
+def _jobs(runs: int, work: int) -> int:
+    """The number of processes to split ``runs`` runs of ``work`` work over; below 2, none is forked.
+
+    Forking with a second thread alive is unsafe: the child would inherit the locks it holds.
+    """
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
+        return 1
+    return min(runs, len(_cpus()), work // _JOB_WORK)
+
+
+def _cpus() -> set[int]:
+    """The CPUs this process may run on: its affinity, or ``os.cpu_count()`` of them where that is unknown."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return affinity(0) if affinity else set(range(os.cpu_count() or 1))
+
+
+def _move_to(cpu: int, cpus: set[int]) -> None:
+    """Move this process onto ``cpu`` now, then let it run on any of ``cpus`` again; where refused, stay.
+
+    A forked child starts on its parent's CPU, and on a 2-CPU Linux VM the
+    two shared it for up to a second while the other CPU idled.
+    """
+    try:
+        os.sched_setaffinity(0, (cpu,))
+    except (AttributeError, OSError):
+        return
+    os.sched_setaffinity(0, cpus)
+
+
+def _fork(kernel: _Kernel, seeds: range, cpu: int, cpus: set[int]) -> tuple[int, BinaryIO] | None:
+    """Fork a child on ``cpu`` that writes the ``final_f`` of each of ``seeds`` as a raw double to a pipe.
+
+    Returns its pid and the pipe's read end, or None when no child could be
+    started. The child leaves through ``os._exit``, so it never returns into
+    the caller, flushes no inherited buffer and runs no ``atexit`` hook.
+    """
+    try:
+        read, write = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            _move_to(cpu, cpus)
+            with open(write, "wb") as pipe:
+                pipe.write(array("d", map(kernel.run, seeds)))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, open(read, "rb")
+
+
+def _split_runs(kernel: _Kernel, seeds: range, jobs: int) -> tuple[float, ...]:
+    """``kernel.run`` over ``seeds``, split into ``jobs`` contiguous ranges, in seed order.
+
+    This process runs the first range and any whose child could not be
+    started. A child that exits non-zero or sends the wrong number of bytes
+    raises :class:`ChildProcessError`. No child outlives the call.
+    """
+    ranges = [seeds[k * len(seeds) // jobs : (k + 1) * len(seeds) // jobs] for k in range(jobs)]
+    cpus = _cpus()
+    order = sorted(cpus)
+    pids: dict[int, int] = {}  # range index -> pid of its child, until reaped
+    pipes: dict[int, BinaryIO] = {}  # range index -> read end of its child's pipe
+    try:
+        _move_to(order[0], cpus)
+        for k in range(1, jobs):
+            child = _fork(kernel, ranges[k], order[k % len(order)], cpus)
+            if child:
+                pids[k], pipes[k] = child
+        parts = {k: array("d", map(kernel.run, part)) for k, part in enumerate(ranges) if k not in pids}
+        for k, pipe in pipes.items():
+            data = pipe.read()
+            try:
+                code = os.waitstatus_to_exitcode(os.waitpid(pids[k], 0)[1])
+            except ChildProcessError:  # reaped already, as where SIGCHLD is ignored: only its bytes tell
+                code = None
+            del pids[k]
+            if code or len(data) != 8 * len(ranges[k]):
+                raise ChildProcessError(
+                    f"simulation worker for seeds {ranges[k].start}..{ranges[k].stop - 1} exited with code {code}"
+                    f" after sending {len(data)} of {8 * len(ranges[k])} bytes"
+                )
+            parts[k] = array("d", data)
+    finally:
+        for pipe in pipes.values():
+            pipe.close()
+        if pids:  # children left by an error: stop and reap them
+            import signal
+
+            for pid in pids.values():
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                except (ProcessLookupError, ChildProcessError):  # reaped already
+                    pass
+    return tuple(f for k in range(jobs) for f in parts[k])
 
 
 def run(net: Network, cfg: SimConfig) -> Trajectory:
@@ -372,17 +498,23 @@ def run(net: Network, cfg: SimConfig) -> Trajectory:
 def monte_carlo_f(net: Network, cfg: SimConfig, runs: int) -> MonteCarloSummary:
     """Aggregate ``final_f`` over independent runs seeded ``cfg.seed + i``.
 
-    Run ``i`` uses a fresh RNG seeded with ``cfg.seed + i``, so batches are
-    reproducible and could be executed in any order or in parallel; the
-    aggregation is a plain commutative sum. Reports the population standard
-    deviation (zero for a single run).
+    Run ``i`` uses a fresh RNG seeded with ``cfg.seed + i``, so the runs may
+    execute in any order or in parallel, and ``final_fs`` lists them in seed
+    order. Reports the population standard deviation (zero for a single run).
+
+    When the work pays for it, the runs are split into contiguous seed ranges
+    over forked processes (see :func:`_jobs`); the results are the same
+    floats for every split. A child that fails raises
+    :class:`ChildProcessError`, an :class:`OSError`.
     """
     _check_args(net, cfg)
     if not is_kind(runs, int) or runs < 1:
         raise ValidationError(f"runs must be a positive integer, got {runs!r}")
-    _check_work(net, cfg, runs)
+    work = _check_work(net, cfg, runs)
     kernel = _Kernel(net, cfg)
-    final_fs = tuple(kernel.run(cfg.seed + i) for i in range(runs))
+    seeds = range(cfg.seed, cfg.seed + runs)
+    jobs = _jobs(runs, work)
+    final_fs = _split_runs(kernel, seeds, jobs) if jobs > 1 else tuple(map(kernel.run, seeds))
     mean = sum(final_fs) / runs
     variance = sum((f - mean) ** 2 for f in final_fs) / runs
     return MonteCarloSummary(mean_f=mean, stddev_f=math.sqrt(variance), final_fs=final_fs)

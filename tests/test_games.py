@@ -5,7 +5,7 @@ import random
 from itertools import zip_longest
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ransomlab.errors import FLOAT_MAX, ValidationError
@@ -50,11 +50,11 @@ def pure_profiles(equilibria) -> list[tuple[int, int]]:
     return [(eq.row_mix.index(1.0), eq.col_mix.index(1.0)) for eq in equilibria]
 
 
-def matching_pennies() -> BimatrixGame:
+def matching_pennies(scale: float = 1) -> BimatrixGame:
     return BimatrixGame(
         ["Heads", "Tails"],
         ["Heads", "Tails"],
-        [[(1, -1), (-1, 1)], [(-1, 1), (1, -1)]],
+        [[(scale, -scale), (-scale, scale)], [(-scale, scale), (scale, -scale)]],
     )
 
 
@@ -276,19 +276,17 @@ extreme_games = games(extreme_payoffs, st.just((2, 2)) | st.tuples(st.integers(1
 
 
 @st.composite
-def turning_2x2_games(draw) -> BimatrixGame:
+def turning_2x2_games(draw, max_scale: float = FLOAT_MAX / 16) -> BimatrixGame:
     """2x2 games with an interior equilibrium: the row player's best reply matches the column, the column's does not.
 
-    Payoffs are ints -3..3 times one scale up to FLOAT_MAX / 16, so the indifference denominators stay finite.
+    Payoffs are ints -3..3 times one scale up to ``max_scale``. At the default the indifference denominators stay
+    finite; above FLOAT_MAX / 12 they can overflow.
     """
-    scale = draw(st.sampled_from([1.0, FLOAT_MAX / 16]) | st.floats(0.0, FLOAT_MAX / 16))
+    scale = draw(st.sampled_from([1.0, max_scale]) | st.floats(0.0, max_scale))
     pairs = st.lists(st.sampled_from(range(-3, 4)), min_size=2, max_size=2, unique=True).map(sorted)
     # Each pair is (lower, higher).
     (a10, a00), (a01, a11), (b00, b01), (b11, b10) = ([k * scale for k in draw(pairs)] for _ in range(4))
     return BimatrixGame(["r0", "r1"], ["c0", "c1"], [[(a00, b00), (a01, b01)], [(a10, b10), (a11, b11)]])
-
-
-_Q = FLOAT_MAX / 4  # matching pennies at this scale has an interior equilibrium and a denominator of FLOAT_MAX
 
 
 def _is_unit(mix: tuple[float, ...]) -> bool:
@@ -298,7 +296,8 @@ def _is_unit(mix: tuple[float, ...]) -> bool:
 @settings(max_examples=1000, deadline=None)
 @given(g=extreme_games | turning_2x2_games())
 @example(g=snowdrift_game(FLOAT_MAX / 2, FLOAT_MAX / 4))
-@example(g=BimatrixGame(["r0", "r1"], ["c0", "c1"], [[(_Q, -_Q), (-_Q, _Q)], [(-_Q, _Q), (_Q, -_Q)]]))
+@example(g=matching_pennies(FLOAT_MAX / 4))  # its indifference denominators are ±FLOAT_MAX
+@example(g=matching_pennies(FLOAT_MAX / 2))  # they overflow, so the payoffs are quartered
 def test_every_equilibrium_returned_is_a_valid_output(g):
     """Equilibrium is output-only and checks nothing, so this shows every one the solvers return is valid."""
     mixed = mixed_nash_2x2(g) if (g.n_rows, g.n_cols) == (2, 2) else None
@@ -311,6 +310,21 @@ def test_every_equilibrium_returned_is_a_valid_output(g):
         assert all(type(x) is float and math.isfinite(x) for x in (eq.row_value, eq.col_value))
         if eq.kind == "mixed":
             assert repr((eq.row_value, eq.col_value)) == repr(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=turning_2x2_games(max_scale=FLOAT_MAX / 4))
+def test_mixed_nash_finds_the_interior_equilibrium_of_every_turning_game(g):
+    assume(any(x for row in g.payoffs for cell in row for x in cell))  # a zero scale makes every payoff 0
+    eq = mixed_nash_2x2(g)
+    assert eq is not None
+    assert all(math.isfinite(x) for x in (eq.row_value, eq.col_value))
+
+
+@pytest.mark.parametrize("scale", [1.0, FLOAT_MAX / 4, FLOAT_MAX / 2, math.nextafter(FLOAT_MAX, 0.0), FLOAT_MAX])
+def test_matching_pennies_mixes_evenly_at_every_scale(scale):
+    eq = mixed_nash_2x2(matching_pennies(scale))
+    assert (eq.row_mix, eq.col_mix, eq.row_value, eq.col_value) == ((0.5, 0.5), (0.5, 0.5), 0.0, 0.0)
 
 
 def test_mixed_nash_passes_deviation_check_on_random_games():

@@ -2,9 +2,9 @@
 
 ``import ransomlab`` loads no submodule, and each ``ransomlab`` subcommand
 loads only the modules it runs; every package name still resolves on first
-use. None of them, and no package module imported alone, loads ``dataclasses``
-or ``inspect``. Each check runs in a child process, because this one has
-already imported the whole package.
+use. None of them, and no package module imported alone, loads ``dataclasses``,
+``inspect``, ``multiprocessing`` or ``concurrent.futures``. Each check runs in
+a child process, because this one has already imported the whole package.
 """
 
 from __future__ import annotations
@@ -35,8 +35,9 @@ SUBCOMMAND_MODULES = {
 }
 
 # Standard-library modules no package import may load: ``dataclasses`` brings ``inspect``, ``ast``, ``dis`` and
-# ``tokenize`` with it, about 10 ms of every ``ransomlab`` process.
-UNWANTED = {"dataclasses", "inspect"}
+# ``tokenize`` with it, about 10 ms of every ``ransomlab`` process. The simulator forks its own workers, so no process
+# pool either: ``concurrent.futures.process`` alone imports in about 20 ms.
+UNWANTED = {"dataclasses", "inspect", "multiprocessing", "concurrent.futures"}
 
 PRINT_MODULES = f'print(*sorted(m for m in sys.modules if m.split(".")[0] == "ransomlab" or m in {UNWANTED!r}))'
 

@@ -10,19 +10,31 @@ When phase 1 cannot change state the kernel takes its draws with one
 ``getrandbits`` call instead of comparing them. The tests force each such
 case, and check that every run leaves its generator where the documented
 ``random()`` calls would.
+
+``monte_carlo_f`` splits its runs over forked processes when the work pays
+for it. The split tests force it on small networks and check that the
+summary is the in-process one, float for float, that a failing child or
+fork is handled, and that no child is left behind.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import random
+import signal
+import threading
+from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ransomlab import simnet
+from ransomlab.cli import main
 from ransomlab.errors import replace
+from ransomlab.ingest import load_network
 from ransomlab.simnet import (
     CloudStore,
     Edge,
@@ -360,3 +372,198 @@ def test_run_equals_iterated_step_when_phase_1_cannot_change_state(case):
         assert traj == expected
         assert traj.final_f.hex() == expected.final_f.hex()
         assert monte_carlo_f(net, cfg, 2).final_fs == (traj.final_f, run(net, replace(cfg, seed=seed + 1)).final_f)
+
+
+# ---------------------------------------------------------------------------
+# monte_carlo_f's runs split over forked processes.
+
+SAMPLE_DIR = Path(__file__).resolve().parent.parent / "sample_data"
+RING8 = load_network(SAMPLE_DIR / "ring8.json")
+STAR4 = load_network(SAMPLE_DIR / "star4.json")
+SPLIT_CONFIG = SimConfig(ticks=15, base_infection_prob=0.3, clean_prob_per_tick=0.05, reinfection_allowed=True, seed=7)
+
+
+def _assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextmanager
+def split_every_call(cpus: int = 4):
+    """Make every ``monte_carlo_f`` call in the block split, over up to ``cpus`` processes.
+
+    One unit of work pays for a process, and the process may use ``cpus``
+    CPUs, whatever this host has. Yields the list of pids forked.
+    """
+    forked = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simnet, "_JOB_WORK", 1)
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        patch.setattr(os, "fork", fork)
+        yield forked
+    _assert_no_child_left()
+
+
+def in_process(net: Network, cfg: SimConfig, runs: int) -> simnet.MonteCarloSummary:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simnet, "_JOB_WORK", simnet.WORK_CAP + 1)
+        return monte_carlo_f(net, cfg, runs)
+
+
+# Each example forks up to three children.
+@settings(max_examples=100, deadline=None)
+@given(net=st.sampled_from([RING8, STAR4]) | networks(), cfg=configs, ticks=st.integers(0, 20), runs=st.integers(1, 9))
+def test_split_runs_are_the_seeded_single_runs(net, cfg, ticks, runs):
+    cfg = replace(cfg, ticks=ticks)
+    expected = in_process(net, cfg, runs)
+    with split_every_call() as forked:
+        summary = monte_carlo_f(net, cfg, runs)
+    assert len(forked) == min(runs, 4) - 1
+    assert summary.final_fs == tuple(run(net, replace(cfg, seed=cfg.seed + i)).final_f for i in range(runs))
+    assert repr(summary) == repr(expected)
+
+
+def test_the_split_leaves_the_affinity_of_this_process_as_it_was():
+    # Each process moves to its own CPU by narrowing its affinity to that CPU, then widening it again.
+    before = os.sched_getaffinity(0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simnet, "_JOB_WORK", 1)
+        monte_carlo_f(RING8, SPLIT_CONFIG, 9)
+    assert os.sched_getaffinity(0) == before
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "cpus, runs, work, jobs",
+    [
+        (64, 1000, 10**9, 64),
+        (64, 3, 10**9, 3),
+        (64, 1000, 5 * simnet._JOB_WORK + 1, 5),
+        (2, 1000, 10**9, 2),
+        (64, 1000, 2 * simnet._JOB_WORK - 1, 1),
+        (64, 1000, simnet._JOB_WORK - 1, 0),
+    ],
+)
+def test_jobs_are_the_least_of_runs_cpus_and_work_per_job(cpus, runs, work, jobs):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert simnet._jobs(runs, work) == jobs
+        patch.delattr(os, "sched_getaffinity")
+        patch.setattr(os, "cpu_count", lambda: cpus)
+        assert simnet._jobs(runs, work) == jobs
+        patch.delattr(os, "fork")
+        assert simnet._jobs(runs, work) == 1
+
+
+def test_the_split_reads_the_work_count_the_cap_bounds():
+    hosts, edges = len(RING8.hosts), len(RING8.edges)
+    assert simnet._check_work(RING8, SPLIT_CONFIG, 1000) == 1000 * (15 * (2 * edges + hosts + 1) + 1)
+
+
+def _failing_from(seed: int, how: str):
+    """``_Kernel.run``, except that a run seeded ``seed`` or higher raises, or kills its process."""
+    real_run = simnet._Kernel.run
+
+    def run_or_fail(self, run_seed, counts=None):
+        if run_seed >= seed:
+            if how == "raises":
+                raise RuntimeError("a failing run")
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_run(self, run_seed, counts)
+
+    return run_or_fail
+
+
+@pytest.mark.parametrize(
+    "how, code, sent", [("raises", 1, 0), ("is killed", -signal.SIGKILL, 0), ("exits 3 after sending", 3, 16)]
+)
+def test_a_failing_child_raises_child_process_error(how, code, sent):
+    real_exit = os._exit
+    with split_every_call(cpus=2) as forked, pytest.MonkeyPatch.context() as patch:
+        # Of 4 runs over 2 processes, the child runs seeds 9 and 10.
+        if how == "exits 3 after sending":
+            patch.setattr(os, "_exit", lambda status: real_exit(status or 3))
+        else:
+            patch.setattr(simnet._Kernel, "run", _failing_from(SPLIT_CONFIG.seed + 2, how))
+        message = f"seeds 9..10 exited with code {code} after sending {sent} of 16 bytes"
+        with pytest.raises(ChildProcessError, match=message):
+            monte_carlo_f(RING8, SPLIT_CONFIG, 4)
+    assert len(forked) == 1
+
+
+def test_a_failing_fork_runs_its_range_in_process():
+    calls = []
+
+    def no_fork():
+        calls.append(1)
+        raise BlockingIOError("fork: resource temporarily unavailable")
+
+    with split_every_call() as forked, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "fork", no_fork)
+        summary = monte_carlo_f(RING8, SPLIT_CONFIG, 9)
+    assert (len(calls), forked) == (3, [])
+    assert repr(summary) == repr(in_process(RING8, SPLIT_CONFIG, 9))
+
+
+def test_the_split_works_where_sigchld_is_ignored():
+    # The kernel then reaps each child itself, so waitpid finds none; the bytes a child sent still tell.
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        with split_every_call() as forked:
+            summary = monte_carlo_f(RING8, SPLIT_CONFIG, 9)
+        with split_every_call(cpus=2), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simnet._Kernel, "run", _failing_from(SPLIT_CONFIG.seed + 2, "raises"))
+            message = "seeds 9..10 exited with code None after sending 0 of 16 bytes"
+            with pytest.raises(ChildProcessError, match=message):
+                monte_carlo_f(RING8, SPLIT_CONFIG, 4)
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert len(forked) == 3
+    assert repr(summary) == repr(in_process(RING8, SPLIT_CONFIG, 9))
+
+
+def test_no_fork_while_another_thread_is_alive():
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    thread.start()
+    try:
+        with split_every_call() as forked:
+            summary = monte_carlo_f(RING8, SPLIT_CONFIG, 9)
+    finally:
+        release.set()
+        thread.join(60)
+    assert not thread.is_alive()
+    assert forked == []
+    assert repr(summary) == repr(in_process(RING8, SPLIT_CONFIG, 9))
+
+
+SIMULATE = ["simulate", "--network", str(SAMPLE_DIR / "ring8.json"), "--ticks", "15", "--p", "0.3", "--seed", "7"]
+
+
+def test_simulate_prints_the_same_bytes_split_or_not(capsys):
+    # 1,000 runs of ring8 are over the work that pays for a second process.
+    assert simnet._check_work(RING8, SPLIT_CONFIG, 1000) >= 2 * simnet._JOB_WORK
+    with split_every_call() as forked:
+        split = main([*SIMULATE, "--runs", "1000"]), *capsys.readouterr()
+    assert len(forked) == 3
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simnet, "_JOB_WORK", simnet.WORK_CAP + 1)
+        assert (main([*SIMULATE, "--runs", "1000"]), *capsys.readouterr()) == split
+    assert split[0] == 0 and split[2] == ""
+
+
+def test_simulate_with_a_failing_child_exits_1_with_one_error_line(capsys):
+    with split_every_call(cpus=2), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simnet._Kernel, "run", _failing_from(SPLIT_CONFIG.seed + 2, "raises"))
+        code = main([*SIMULATE, "--runs", "4"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == "error: simulation worker for seeds 9..10 exited with code 1 after sending 0 of 16 bytes\n"
