@@ -2,8 +2,9 @@
 
 A check's label is a ``%`` format and its arguments, formatted only when the check raises. Only this module decides
 what a check accepts: an exact int or float in range passes at once, alone or as a sequence (:func:`plain_numbers`).
-The value types are records, not dataclasses; :func:`fields` and :func:`replace` stand in for the ``dataclasses``
-functions of those names.
+The value types are records, not dataclasses: each ``__init__`` checks its arguments and ends in one
+:meth:`Record._store` call, so only this module knows how a frozen record stores its fields. :func:`fields` and
+:func:`replace` stand in for the ``dataclasses`` functions of those names.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ def check_enum(value: object, kind: type[EnumT], what: str, *args: object) -> En
 
 
 class Record:
-    """A frozen value: its fields are its class's ``__init__`` parameters, which check and ``object.__setattr__`` them.
+    """A frozen value: its fields are its class's ``__init__`` parameters, which check them and :meth:`_store` them.
 
     An ``__init__`` may also store attributes it derives from the fields; equality, hashing and ``repr`` read only
     the fields, in order, as a frozen dataclass's do. Setting or deleting any attribute raises
@@ -118,6 +119,14 @@ class Record:
     def __init_subclass__(cls) -> None:
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def _store(self, *values: object, **derived: object) -> None:
+        """Store ``values`` as the fields, in signature order, then ``derived`` by name, one attribute at a time."""
+        # Not ``self.__dict__.update``: an instance with a dict of its own reads its fields 2x slower on CPython 3.11.
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

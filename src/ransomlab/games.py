@@ -74,9 +74,7 @@ class BimatrixGame(Record):
                         check_number(x, -FLOAT_MAX, FLOAT_MAX, "payoff cell (%s, %s)", i, j)
             values = map(float, values)
             table.append(tuple(zip(values, values)))
-        object.__setattr__(self, "row_labels", row_labels)
-        object.__setattr__(self, "col_labels", col_labels)
-        object.__setattr__(self, "payoffs", tuple(table))
+        self._store(row_labels, col_labels, tuple(table))
 
     @property
     def n_rows(self) -> int:
@@ -103,11 +101,7 @@ class Equilibrium(Record):
     def __init__(
         self, row_mix: tuple[float, ...], col_mix: tuple[float, ...], row_value: float, col_value: float, kind: str
     ) -> None:
-        object.__setattr__(self, "row_mix", row_mix)
-        object.__setattr__(self, "col_mix", col_mix)
-        object.__setattr__(self, "row_value", row_value)
-        object.__setattr__(self, "col_value", col_value)
-        object.__setattr__(self, "kind", kind)
+        self._store(row_mix, col_mix, row_value, col_value, kind)
 
 
 # Ransom game cell order (row-major): (NotPay, Decrypt), (NotPay, NotDecrypt),
@@ -326,6 +320,8 @@ def replicator_step(g: BimatrixGame, pop: tuple[float, ...], dt: float) -> tuple
     mean_fitness = sum(x * f for x, f in zip(pop, fitness))
     raw = [max(0.0, x * (1.0 + dt * (f - mean_fitness))) for x, f in zip(pop, fitness)]
     total = sum(raw)
+    if not (math.isfinite(mean_fitness) and math.isfinite(total)):  # a finite mean needs every fitness finite
+        raise ValidationError("replicator step overflowed float range")
     if total == 0.0:
         raise ValidationError("replicator step collapsed the population to zero mass")
     return tuple(x / total for x in raw)

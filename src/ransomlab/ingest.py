@@ -42,8 +42,7 @@ class ProfileDocument(Record):
     def __init__(self, name: str, profile: TraitProfile) -> None:
         check_type(name, str, "'name'")
         check_type(profile, TraitProfile, "profile")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "profile", profile)
+        self._store(name, profile)
 
 
 def parse_profile_document(data: dict) -> ProfileDocument:

@@ -75,17 +75,12 @@ class MetricComparison(Record):
     """One metric side by side; ``higher`` is "first" or "second" when values differ, None on a tie."""
 
     def __init__(self, metric: str, first: float, second: float, higher: str | None) -> None:
-        object.__setattr__(self, "metric", metric)
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
-        object.__setattr__(self, "higher", higher)
+        self._store(metric, first, second, higher)
 
 
 class ProfileComparison(Record):
     def __init__(self, first: ScoreSet, second: ScoreSet, metrics: tuple[MetricComparison, ...]) -> None:
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
-        object.__setattr__(self, "metrics", metrics)
+        self._store(first, second, metrics)
 
 
 def compare_profiles(p1: TraitProfile, p2: TraitProfile) -> ProfileComparison:
@@ -108,8 +103,7 @@ class SweepSpec(Record):
         if fixed_variable not in VARIABLE_KEYS:
             raise ValidationError(f"fixed_variable must be one of A..I, got {fixed_variable!r}")
         check_number(fixed_value, 0, 100, "fixed_value")
-        object.__setattr__(self, "fixed_variable", fixed_variable)
-        object.__setattr__(self, "fixed_value", fixed_value)
+        self._store(fixed_variable, fixed_value)
 
 
 class SweepResult(Record):
@@ -127,8 +121,7 @@ class SweepResult(Record):
             value = 1.0
         columns = dict(_DIAGONAL_COLUMNS)
         columns[spec.fixed_variable] = (value,) * len(_POINTS)
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "scores", _mapped_scores(columns.values(), _diagonal_scores()))
+        self._store(spec, scores=_mapped_scores(columns.values(), _diagonal_scores()))
 
     def column(self, metric: str) -> list[float]:
         k = _COLUMN_INDEX.get(metric) if isinstance(metric, str) else None

@@ -72,15 +72,7 @@ class TraitProfile(Record):
         check_number(g, 0, 100, "G")
         check_number(h, 0, 100, "H")
         check_number(i, 0, 100, "I")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "i", i)
+        self._store(a, b, c, d, e, f, g, h, i)
 
 
 # Each field's document key (the letter, upper-cased), in field order.
@@ -93,10 +85,7 @@ class ScoreSet(Record):
     def __init__(
         self, sps: float, severity: float, disinfection_probability: float, disinfection_payoff: float
     ) -> None:
-        object.__setattr__(self, "sps", sps)
-        object.__setattr__(self, "severity", severity)
-        object.__setattr__(self, "disinfection_probability", disinfection_probability)
-        object.__setattr__(self, "disinfection_payoff", disinfection_payoff)
+        self._store(sps, severity, disinfection_probability, disinfection_payoff)
 
     def values(self) -> tuple[float, float, float, float]:
         """The four scores in :data:`METRICS` order."""

@@ -101,10 +101,7 @@ class Host(Record):
         check_type(state, HostState, "host state")
         check_number(awareness, 0, 100, "host %s awareness", id)
         check_number(protection, 0, 100, "host %s protection", id)
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "state", state)
-        object.__setattr__(self, "awareness", awareness)
-        object.__setattr__(self, "protection", protection)
+        self._store(id, state, awareness, protection)
 
 
 class CloudStore(Record):
@@ -113,8 +110,7 @@ class CloudStore(Record):
     def __init__(self, id: int, contaminated: bool = False) -> None:
         check_type(id, int, "cloud id")
         check_type(contaminated, bool, "cloud %s contaminated", id)
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "contaminated", contaminated)
+        self._store(id, contaminated)
 
 
 class Edge(Record):
@@ -124,9 +120,7 @@ class Edge(Record):
         check_type(host, int, "edge host")
         check_type(cloud, int, "edge cloud")
         check_number(prob, 0, 1, "edge (%s, %s) prob", host, cloud)
-        object.__setattr__(self, "host", host)
-        object.__setattr__(self, "cloud", cloud)
-        object.__setattr__(self, "prob", prob)
+        self._store(host, cloud, prob)
 
 
 class Network(Record):
@@ -154,9 +148,7 @@ class Network(Record):
             if (e.host, e.cloud) in seen:
                 raise ValidationError(f"duplicate edge ({e.host}, {e.cloud})")
             seen.add((e.host, e.cloud))
-        object.__setattr__(self, "hosts", hosts)
-        object.__setattr__(self, "clouds", clouds)
-        object.__setattr__(self, "edges", edges)
+        self._store(hosts, clouds, edges)
 
 
 class SimConfig(Record):
@@ -174,37 +166,26 @@ class SimConfig(Record):
         check_type(seed, int, "seed")
         if seed < 0:
             raise ValidationError(f"seed must be nonnegative, got {seed}")
-        object.__setattr__(self, "ticks", ticks)
-        object.__setattr__(self, "base_infection_prob", base_infection_prob)
-        object.__setattr__(self, "clean_prob_per_tick", clean_prob_per_tick)
-        object.__setattr__(self, "reinfection_allowed", reinfection_allowed)
-        object.__setattr__(self, "seed", seed)
+        self._store(ticks, base_infection_prob, clean_prob_per_tick, reinfection_allowed, seed)
 
 
 class TickCounts(Record):
     def __init__(self, tick: int, susceptible: int, infected: int, cleaned: int, contaminated_clouds: int) -> None:
-        object.__setattr__(self, "tick", tick)
-        object.__setattr__(self, "susceptible", susceptible)
-        object.__setattr__(self, "infected", infected)
-        object.__setattr__(self, "cleaned", cleaned)
-        object.__setattr__(self, "contaminated_clouds", contaminated_clouds)
+        self._store(tick, susceptible, infected, cleaned, contaminated_clouds)
 
 
 class Trajectory(Record):
     """Per-tick population counts plus the final ever-infected percentage."""
 
     def __init__(self, counts: tuple[TickCounts, ...], final_f: float) -> None:
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "final_f", final_f)
+        self._store(counts, final_f)
 
 
 class MonteCarloSummary(Record):
     """Aggregate over independent runs of the same scenario."""
 
     def __init__(self, mean_f: float, stddev_f: float, final_fs: tuple[float, ...]) -> None:
-        object.__setattr__(self, "mean_f", mean_f)
-        object.__setattr__(self, "stddev_f", stddev_f)
-        object.__setattr__(self, "final_fs", final_fs)
+        self._store(mean_f, stddev_f, final_fs)
 
 
 _S, _I, _C = 0, 1, 2

@@ -58,9 +58,7 @@ class Step(Record):
         check_number(complexity, 0, 10, "step '%s' complexity", description)
         if note is not None:
             check_type(note, str, "step '%s' note", description)
-        object.__setattr__(self, "description", description)
-        object.__setattr__(self, "complexity", complexity)
-        object.__setattr__(self, "note", note)
+        self._store(description, complexity, note)
 
 
 class Strategy(Record):
@@ -77,12 +75,7 @@ class Strategy(Record):
             raise ValidationError(f"strategy '{name}' levels must be Low/Medium/High")
         if note is not None:
             check_type(note, str, "strategy '%s' note", name)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "overall_complexity", overall_complexity)
-        object.__setattr__(self, "effectiveness", effectiveness)
-        object.__setattr__(self, "reinfection_risk", reinfection_risk)
-        object.__setattr__(self, "note", note)
+        self._store(name, steps, overall_complexity, effectiveness, reinfection_risk, note)
 
 
 class StrategyCatalog(Record):
@@ -95,7 +88,7 @@ class StrategyCatalog(Record):
         if len(names) != len(set(names)):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ValidationError(f"duplicate strategy names: {dupes}")
-        object.__setattr__(self, "strategies", strategies)
+        self._store(strategies)
 
 
 @functools.cache

@@ -18,14 +18,17 @@ from __future__ import annotations
 
 import ast
 import copy
+import dis
 import hashlib
 import importlib
 import inspect
+import io
 import json
 import math
 import pickle
 import pkgutil
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -257,6 +260,26 @@ def test_no_check_call_formats_its_label_before_it_fails(path):
     assert list(_label_builders(ast.parse(path.read_text(encoding="utf-8")))) == []
 
 
+def _raw_stores(tree: ast.AST):
+    """The line of each use of ``object.__setattr__``, which only ``errors`` needs: records call ``self._store``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "__setattr__" and getattr(node.value, "id", "") == "object":
+            yield node.lineno
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in sorted((REPO_ROOT / "src" / "ransomlab").glob("*.py")) if path.name != "errors.py"],
+    ids=lambda path: path.name,
+)
+def test_only_errors_knows_how_a_record_stores_its_fields(path):
+    assert list(_raw_stores(ast.parse(path.read_text(encoding="utf-8")))) == []
+
+
+def test_the_store_guard_sees_object_setattr():
+    source = 'object.__setattr__(self, "a", a)\nset_field = object.__setattr__\nself._store(a)\nsetattr(x, "a", a)\n'
+    assert sorted(_raw_stores(ast.parse(source))) == [1, 2]
+
+
 def test_the_label_guard_sees_each_way_of_building_a_string():
     calls = 'check_type(x, int, f"a {k}")\n_check_mix(m, None, "%s" % w)\ncheck_number(x, 0, 1, "{}".format(k))\n'
     calls += 'from_dict(Host, d, f"host {k}")\ncheck_enum(v, HostState, "%s state" % w)\n'
@@ -361,6 +384,21 @@ def test_record_fields_are_its_init_parameters(kind):
     assert all(parameter.kind is parameter.POSITIONAL_OR_KEYWORD for parameter in parameters)
     assert tuple(parameter.name for parameter in parameters) == fields(kind) == fields(RECORDS[kind])
     assert tuple(vars(RECORDS[kind])) == fields(kind) + DERIVED.get(kind, ())
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info < (3, 11), reason="CPython 3.11+ only")
+def test_record_fields_read_as_instance_values():
+    """A record keeps no dict of its own, so the specializing interpreter reads its fields at full speed."""
+    edges = [Edge(host=k, cloud=0, prob=0.5) for k in range(10)]
+
+    def read():
+        return [edge.prob for edge in edges]
+
+    for _ in range(100):
+        read()
+    listing = io.StringIO()
+    dis.dis(read, adaptive=True, file=listing)
+    assert "LOAD_ATTR_INSTANCE_VALUE" in listing.getvalue()
 
 
 @pytest.mark.parametrize("kind", RECORDS, ids=lambda kind: kind.__name__)

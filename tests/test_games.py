@@ -414,6 +414,43 @@ def test_replicator_preserves_simplex_under_random_steps():
         assert sum(pop) == pytest.approx(1.0, abs=1e-12)
 
 
+@st.composite
+def symmetric_populations(draw) -> tuple[BimatrixGame, tuple[float, ...]]:
+    """A symmetric 2x2 or 3x3 game with payoffs up to ±FLOAT_MAX, and a population that sums to 1 within 1e-9."""
+    n = draw(st.sampled_from([2, 3]))
+    a = draw(st.lists(st.lists(extreme_payoffs, min_size=n, max_size=n), min_size=n, max_size=n))
+    labels = [str(k) for k in range(n)]
+    g = BimatrixGame(labels, labels, [[(a[i][j], a[j][i]) for j in range(n)] for i in range(n)])
+    weights = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=n, max_size=n))
+    assume(sum(weights) > 0.0)
+    return g, tuple(w / sum(weights) for w in weights)
+
+
+# Row payoffs [[M, M], [-M, -M]] at M = FLOAT_MAX: each fitness gap is 2M, past float range.
+_EDGE_GAME = BimatrixGame(
+    ["a", "b"], ["a", "b"],
+    [[(FLOAT_MAX, FLOAT_MAX), (FLOAT_MAX, -FLOAT_MAX)], [(-FLOAT_MAX, FLOAT_MAX), (-FLOAT_MAX, -FLOAT_MAX)]],
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    case=symmetric_populations(),
+    dt=st.sampled_from([FLOAT_MAX, 2.0, 5e-324]) | st.floats(0.0, FLOAT_MAX, exclude_min=True),
+)
+@example(case=(snowdrift_game(1e308, 1e307), (0.5, 0.5)), dt=10.0)  # 1 + dt * (f - mean) overflows to inf
+@example(case=(_EDGE_GAME, (0.5, 0.5)), dt=2.0)
+def test_replicator_step_returns_a_population_or_rejects(case, dt):
+    """Any symmetric game, population and positive dt gives a finite population summing to 1, or is rejected."""
+    g, pop = case
+    try:
+        out = replicator_step(g, pop, dt)
+    except ValidationError:
+        return
+    assert len(out) == len(pop) and all(type(x) is float and 0.0 <= x <= FLOAT_MAX for x in out)
+    assert abs(sum(out) - 1.0) <= 1e-9
+
+
 def test_replicator_rejects_asymmetric_games():
     g = BimatrixGame(["a", "b"], ["a", "b"], [[(1, 0), (0, 0)], [(0, 0), (0, 0)]])
     with pytest.raises(ValidationError):

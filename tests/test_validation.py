@@ -164,6 +164,7 @@ def test_constructors_reject_bad_fields(build):
         build()
 
 
+# Each case's test id is its position, so a new message goes last and no existing id changes.
 KEPT_MESSAGES = {
     "prisoner's dilemma requires T > R > P > S, got (1, 2, 3, 4)": lambda: pd_game(1, 2, 3, 4),
     "snowdrift requires b > c > 0, got (b=1.5, c=2)": lambda: snowdrift_game(1.5, 2),
@@ -172,6 +173,7 @@ KEPT_MESSAGES = {
     "expected 4 ranking weights, got 3": lambda: rank_strategies(default_catalog(), _PROFILE, [0.5, 0.25, 0.25]),
     "severity requires G > 0, got 0": lambda: score_all(replace(_PROFILE, g=0)),
     "severity requires G > 0, got 0.0": lambda: rank_strategies(default_catalog(), replace(_PROFILE, g=0.0)),
+    "replicator step overflowed float range": lambda: replicator_step(snowdrift_game(1e308, 1e307), (0.5, 0.5), 10.0),
 }
 
 
@@ -194,7 +196,8 @@ _CONFIG = SimConfig(ticks=1, base_infection_prob=0.5, clean_prob_per_tick=0.1, r
 
 # One bad input per check whose label is built from the value's fields or position, per input that a
 # type-and-range shortcut lets through when it is good, and per argument check the scoring, ranking and sweep
-# entry points keep once the sweep computes its own columns: the exact message each raises.
+# entry points keep once the sweep computes its own columns: the exact message each raises. As in
+# ``KEPT_MESSAGES``, a case's test id is its position, so a new message goes last and no existing id changes.
 LABEL_MESSAGES = {
     "host 3 awareness must be in [0, 100], got 150": lambda: Host(id=3, awareness=150),
     "host 3 protection must be a number, got str": lambda: Host(id=3, protection="x"),
